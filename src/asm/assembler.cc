@@ -29,6 +29,11 @@ void Assembler::Bind(Label label) {
 void Assembler::Emit(const Instruction& insn) {
   REDFAT_CHECK(!finished_);
   Encode(insn, &bytes_);
+  if ((IsMemAccess(insn.op) || insn.op == Op::kLea) && insn.mem.rip_relative()) {
+    // disp32 closes the memory operand: the last 4 bytes of the encoding,
+    // or the 4 before StoreI's trailing imm32.
+    external_rel_.push_back(bytes_.size() - (insn.op == Op::kStoreI ? 8 : 4));
+  }
 }
 
 void Assembler::EmitBranch(Instruction insn, Label label) {
@@ -50,25 +55,39 @@ void Assembler::MovLabelAddr(Reg r, Label label) {
   fixups_.push_back(Fixup{Fixup::Kind::kAbs64, start + 2, bytes_.size(), label});
 }
 
-void Assembler::JmpAbs(uint64_t target) {
-  const uint64_t end = Here() + EncodedLength(Op::kJmp);
+void Assembler::EmitAbsBranch(Instruction insn, uint64_t target) {
+  const uint64_t end = Here() + EncodedLength(insn.op);
   const int64_t rel = static_cast<int64_t>(target) - static_cast<int64_t>(end);
   REDFAT_CHECK(rel >= INT32_MIN && rel <= INT32_MAX);
-  Emit({.op = Op::kJmp, .imm = rel});
+  insn.imm = rel;
+  Emit(insn);
+  // rel32 is the last 4 bytes of kJmp/kJcc/kCall encodings.
+  external_rel_.push_back(bytes_.size() - 4);
 }
+
+void Assembler::JmpAbs(uint64_t target) { EmitAbsBranch({.op = Op::kJmp}, target); }
 
 void Assembler::JccAbs(Cond cond, uint64_t target) {
-  const uint64_t end = Here() + EncodedLength(Op::kJcc);
-  const int64_t rel = static_cast<int64_t>(target) - static_cast<int64_t>(end);
-  REDFAT_CHECK(rel >= INT32_MIN && rel <= INT32_MAX);
-  Emit({.op = Op::kJcc, .cond = cond, .imm = rel});
+  EmitAbsBranch({.op = Op::kJcc, .cond = cond}, target);
 }
 
-void Assembler::CallAbs(uint64_t target) {
-  const uint64_t end = Here() + EncodedLength(Op::kCall);
-  const int64_t rel = static_cast<int64_t>(target) - static_cast<int64_t>(end);
-  REDFAT_CHECK(rel >= INT32_MIN && rel <= INT32_MAX);
-  Emit({.op = Op::kCall, .imm = rel});
+void Assembler::CallAbs(uint64_t target) { EmitAbsBranch({.op = Op::kCall}, target); }
+
+void Assembler::Rebase(uint64_t new_base) {
+  REDFAT_CHECK(!finished_);
+  // The field's anchor (its instruction end) moves with the base, the target
+  // does not: rel' = rel + old_base - new_base.
+  const int64_t shift = static_cast<int64_t>(base_vaddr_ - new_base);
+  for (const size_t at : external_rel_) {
+    const uint8_t* p = bytes_.data() + at;
+    const int32_t rel = static_cast<int32_t>(
+        static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+        static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24);
+    const int64_t moved = static_cast<int64_t>(rel) + shift;
+    REDFAT_CHECK(moved >= INT32_MIN && moved <= INT32_MAX);
+    PatchU32(&bytes_, at, static_cast<uint32_t>(static_cast<int32_t>(moved)));
+  }
+  base_vaddr_ = new_base;
 }
 
 std::vector<uint8_t> Assembler::Finish() {

@@ -3,6 +3,13 @@
 //
 // Used by the workload generators (to build guest "binaries") and by the
 // RedFat check code generator (to build trampoline code).
+//
+// Position-dependent fields come in two kinds. Label fixups are resolved by
+// Finish() against the base at that time. PC-relative fields that aim
+// *outside* the buffer — the rel32 of JmpAbs/JccAbs/CallAbs and the disp32
+// of rip-relative Load/Store/StoreI/Lea — are encoded immediately and
+// remembered, so Rebase() can re-aim them when assembled code is placed at
+// another address before Finish().
 #ifndef REDFAT_SRC_ASM_ASSEMBLER_H_
 #define REDFAT_SRC_ASM_ASSEMBLER_H_
 
@@ -138,6 +145,14 @@ class Assembler {
   // displaced instructions).
   void Emit(const Instruction& insn);
 
+  // Moves the code to `new_base` before Finish(): every recorded
+  // out-of-buffer PC-relative field is re-aimed at its original absolute
+  // target (CHECK-fails if it no longer fits in int32). Rip-relative
+  // operands are assumed to address memory outside the buffer, which holds
+  // for all relocated and check code. Bytes afterwards equal assembling the
+  // same calls at `new_base`.
+  void Rebase(uint64_t new_base);
+
   // Finalizes: applies all fixups. CHECK-fails on unbound labels.
   std::vector<uint8_t> Finish();
 
@@ -153,11 +168,15 @@ class Assembler {
   };
 
   void EmitBranch(Instruction insn, Label label);
+  void EmitAbsBranch(Instruction insn, uint64_t target);
 
   uint64_t base_vaddr_;
   std::vector<uint8_t> bytes_;
   std::vector<std::optional<uint64_t>> labels_;  // bound offset in bytes_
   std::vector<Fixup> fixups_;
+  // Offsets in bytes_ of the int32 PC-relative fields that aim outside the
+  // buffer (see Rebase).
+  std::vector<size_t> external_rel_;
   bool finished_ = false;
 };
 

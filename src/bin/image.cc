@@ -10,9 +10,10 @@ namespace {
 
 constexpr char kMagic[8] = {'R', 'F', 'B', 'I', 'N', '0', '1', '\0'};
 
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
+// Writes `v` little-endian at *p and advances it.
+void PutU64(uint8_t** p, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+    *(*p)++ = static_cast<uint8_t>(v >> (8 * i));
   }
 }
 
@@ -58,15 +59,26 @@ uint64_t BinaryImage::TotalBytes() const {
 }
 
 std::vector<uint8_t> BinaryImage::Serialize() const {
-  std::vector<uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
-  PutU64(&out, entry);
-  PutU64(&out, sections.size());
+  // Header: magic, entry, section count; per section: kind, vaddr, size,
+  // bytes. The exact size is known up front, so the output is allocated once.
+  size_t size = sizeof(kMagic) + 8 + 8;
   for (const Section& s : sections) {
-    out.push_back(static_cast<uint8_t>(s.kind));
-    PutU64(&out, s.vaddr);
-    PutU64(&out, s.bytes.size());
-    out.insert(out.end(), s.bytes.begin(), s.bytes.end());
+    size += 1 + 8 + 8 + s.bytes.size();
+  }
+  std::vector<uint8_t> out(size);
+  uint8_t* p = out.data();
+  std::memcpy(p, kMagic, sizeof(kMagic));
+  p += sizeof(kMagic);
+  PutU64(&p, entry);
+  PutU64(&p, sections.size());
+  for (const Section& s : sections) {
+    *p++ = static_cast<uint8_t>(s.kind);
+    PutU64(&p, s.vaddr);
+    PutU64(&p, s.bytes.size());
+    if (!s.bytes.empty()) {
+      std::memcpy(p, s.bytes.data(), s.bytes.size());
+      p += s.bytes.size();
+    }
   }
   return out;
 }

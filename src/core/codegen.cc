@@ -38,7 +38,7 @@ Scratch PickScratch(const PlannedCheck& check, const std::vector<Reg>& preferenc
 // concatenate the two schemas" design §4 argues against: two separate
 // lookups, and no malloc-size metadata so padding overflows are invisible.
 void EmitShadowCheckBody(Assembler& as, const PlannedCheck& check, const Scratch& s,
-                         const RedFatOptions& opts, int32_t stack_bias) {
+                         int32_t stack_bias) {
   const Reg t0 = s.t0;
   const Reg t1 = s.t1;
   const Reg t2 = s.t2;
@@ -117,7 +117,7 @@ void EmitCheckBody(Assembler& as, const PlannedCheck& check, const Scratch& s,
                    const RedFatOptions& opts, int32_t stack_bias) {
   if (opts.redzone_impl == RedzoneImpl::kShadow) {
     REDFAT_CHECK(opts.mode == RedFatOptions::Mode::kProduction);
-    EmitShadowCheckBody(as, check, s, opts, stack_bias);
+    EmitShadowCheckBody(as, check, s, stack_bias);
     return;
   }
   const Reg t0 = s.t0;  // LB

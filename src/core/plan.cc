@@ -416,8 +416,8 @@ std::vector<PlannedTrampoline> BatchCandidateRange(const Disassembly& dis, const
       break;  // no candidates left; membership of the open batch is fixed
     }
     const DisasmInsn& di = dis.insns[i];
-    if (i == first_insn || cfg.block_id[i] != current_block ||
-        cfg.jump_targets.count(di.addr) != 0) {
+    // Every jump target starts a new block, so the block test covers it.
+    if (i == first_insn || cfg.block_id[i] != current_block) {
       close();
       current_block = cfg.block_id[i];
     }

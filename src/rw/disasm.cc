@@ -40,7 +40,6 @@ Result<Disassembly> DecodeSerial(const Section& text, Disassembly dis) {
     di.addr = text.vaddr + off;
     di.length = d.value().length;
     di.insn = d.value().insn;
-    dis.index_by_addr.emplace(di.addr, dis.insns.size());
     dis.insns.push_back(di);
     off += di.length;
   }
@@ -99,7 +98,6 @@ Result<Disassembly> DisassembleText(const BinaryImage& image, ThreadPool* pool) 
     total += cd.insns.size();
   }
   dis.insns.reserve(total);
-  dis.index_by_addr.reserve(total);
   size_t off = 0;
   while (off < size) {
     ChunkDecode& cd = chunks[off / kDisasmChunkBytes];
@@ -108,10 +106,7 @@ Result<Disassembly> DisassembleText(const BinaryImage& image, ThreadPool* pool) 
         cd.insns.begin(), cd.insns.end(), addr,
         [](const DisasmInsn& di, uint64_t a) { return di.addr < a; });
     if (it != cd.insns.end() && it->addr == addr) {
-      for (; it != cd.insns.end(); ++it) {
-        dis.index_by_addr.emplace(it->addr, dis.insns.size());
-        dis.insns.push_back(*it);
-      }
+      dis.insns.insert(dis.insns.end(), it, cd.insns.end());
       off = cd.end_off;
       continue;
     }
@@ -127,7 +122,6 @@ Result<Disassembly> DisassembleText(const BinaryImage& image, ThreadPool* pool) 
     di.addr = addr;
     di.length = d.value().length;
     di.insn = d.value().insn;
-    dis.index_by_addr.emplace(di.addr, dis.insns.size());
     dis.insns.push_back(di);
     off += di.length;
   }
@@ -167,22 +161,22 @@ CfgInfo RecoverCfg(const Disassembly& dis, const BinaryImage& image,
   CfgInfo cfg;
   const size_t n = dis.insns.size();
   const bool parallel = pool != nullptr && pool->jobs() > 1 && n >= 1024;
-  // (1) Direct branch/call targets and entry. Set union is insensitive to
-  // the order per-range target lists arrive in, so sharding is free.
-  cfg.jump_targets.insert(image.entry);
+  // (1) Direct branch/call targets and entry. The sorted, de-duplicated
+  // union is insensitive to the order per-range target lists arrive in, so
+  // sharding is free.
+  std::vector<uint64_t>& targets = cfg.jump_targets;
+  targets.push_back(image.entry);
   if (parallel) {
     const size_t ranges = std::min<size_t>(pool->jobs() * 4, n);
     std::vector<std::vector<uint64_t>> found(ranges);
     pool->ParallelFor(ranges, [&](size_t r) {
       CollectInsnTargets(dis, r * n / ranges, (r + 1) * n / ranges, &found[r]);
     });
-    for (const std::vector<uint64_t>& targets : found) {
-      cfg.jump_targets.insert(targets.begin(), targets.end());
+    for (const std::vector<uint64_t>& f : found) {
+      targets.insert(targets.end(), f.begin(), f.end());
     }
   } else {
-    std::vector<uint64_t> targets;
     CollectInsnTargets(dis, 0, n, &targets);
-    cfg.jump_targets.insert(targets.begin(), targets.end());
   }
   // (3) Scan data sections for aligned words that look like code pointers.
   for (const Section& s : image.sections) {
@@ -193,20 +187,32 @@ CfgInfo RecoverCfg(const Disassembly& dis, const BinaryImage& image,
       uint64_t w = 0;
       std::memcpy(&w, s.bytes.data() + off, 8);
       if (dis.InText(w)) {
-        cfg.jump_targets.insert(w);
+        targets.push_back(w);
       }
     }
   }
+  std::sort(targets.begin(), targets.end());
+  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
   // Keep only targets that land on instruction boundaries; a "target" in the
   // middle of an instruction cannot be a real control-flow destination of
-  // well-formed code, and treating it as one would forbid every patch.
-  for (auto it = cfg.jump_targets.begin(); it != cfg.jump_targets.end();) {
-    if (dis.InText(*it) && dis.IndexAt(*it) == SIZE_MAX) {
-      it = cfg.jump_targets.erase(it);
-    } else {
-      ++it;
+  // well-formed code, and treating it as one would forbid every patch. Both
+  // lists are sorted, so one merge walk also flags the target instructions.
+  cfg.is_target.assign(n, 0);
+  size_t at = 0;
+  size_t kept = 0;
+  for (const uint64_t t : targets) {
+    if (dis.InText(t)) {
+      while (at < n && dis.insns[at].addr < t) {
+        ++at;
+      }
+      if (at == n || dis.insns[at].addr != t) {
+        continue;
+      }
+      cfg.is_target[at] = 1;
     }
+    targets[kept++] = t;
   }
+  targets.resize(kept);
 
   // Basic blocks: leaders are jump targets and fallthroughs of terminators.
   // block_id[i] is the number of leaders in [0, i] — a prefix sum — so the
@@ -222,10 +228,8 @@ CfgInfo RecoverCfg(const Disassembly& dis, const BinaryImage& image,
       const size_t end = (r + 1) * n / ranges;
       uint32_t count = 0;
       for (size_t i = begin; i < end; ++i) {
-        const DisasmInsn& di = dis.insns[i];
-        const bool is_leader = i == 0 ||
-                               IsControlFlow(dis.insns[i - 1].insn.op) ||
-                               cfg.jump_targets.count(di.addr) != 0;
+        const bool is_leader =
+            i == 0 || IsControlFlow(dis.insns[i - 1].insn.op) || cfg.is_target[i] != 0;
         leader[i] = is_leader ? 1 : 0;
         count += is_leader ? 1u : 0u;
       }
@@ -251,12 +255,11 @@ CfgInfo RecoverCfg(const Disassembly& dis, const BinaryImage& image,
     uint32_t block = 0;
     bool start_new = true;
     for (size_t i = 0; i < n; ++i) {
-      const DisasmInsn& di = dis.insns[i];
-      if (start_new || cfg.jump_targets.count(di.addr) != 0) {
+      if (start_new || cfg.is_target[i] != 0) {
         ++block;
       }
       cfg.block_id[i] = block;
-      start_new = IsControlFlow(di.insn.op);
+      start_new = IsControlFlow(dis.insns[i].insn.op);
     }
     cfg.num_blocks = block + 1;
   }

@@ -11,9 +11,8 @@
 #ifndef REDFAT_SRC_RW_DISASM_H_
 #define REDFAT_SRC_RW_DISASM_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/bin/image.h"
@@ -35,14 +34,17 @@ struct DisasmInsn {
 struct Disassembly {
   uint64_t text_vaddr = 0;
   uint64_t text_end = 0;
-  std::vector<DisasmInsn> insns;
-  std::unordered_map<uint64_t, size_t> index_by_addr;
+  std::vector<DisasmInsn> insns;  // sorted by address (linear sweep)
 
   bool InText(uint64_t addr) const { return addr >= text_vaddr && addr < text_end; }
-  // Index of the instruction at `addr`, or SIZE_MAX.
+  // Index of the instruction starting at `addr`, or SIZE_MAX (mid-instruction
+  // or outside the text).
   size_t IndexAt(uint64_t addr) const {
-    auto it = index_by_addr.find(addr);
-    return it == index_by_addr.end() ? SIZE_MAX : it->second;
+    const auto it = std::lower_bound(
+        insns.begin(), insns.end(), addr,
+        [](const DisasmInsn& di, uint64_t a) { return di.addr < a; });
+    return it != insns.end() && it->addr == addr ? static_cast<size_t>(it - insns.begin())
+                                                 : SIZE_MAX;
   }
 };
 
@@ -55,16 +57,25 @@ Result<Disassembly> DisassembleText(const BinaryImage& image,
 
 struct CfgInfo {
   // Addresses that some (recovered, over-approximated) control transfer may
-  // target. Instrumentation must not pun over these.
-  std::unordered_set<uint64_t> jump_targets;
+  // target, sorted and unique. In-text entries are instruction boundaries;
+  // out-of-text ones (an odd entry point, or the return site of a call that
+  // ends the text) are kept for reporting.
+  std::vector<uint64_t> jump_targets;
+  // Per instruction (parallel to Disassembly::insns): 1 if its address is a
+  // jump target. Instrumentation must not pun over these.
+  std::vector<uint8_t> is_target;
   // Basic-block id per instruction (parallel to Disassembly::insns).
   std::vector<uint32_t> block_id;
   uint32_t num_blocks = 0;
+
+  bool IsJumpTarget(uint64_t addr) const {
+    return std::binary_search(jump_targets.begin(), jump_targets.end(), addr);
+  }
 };
 
-// With a pool, target collection runs over instruction ranges (set-union is
-// order-insensitive) and block ids are assigned by a leader-count prefix sum;
-// both are independent of the job count.
+// With a pool, target collection runs over instruction ranges (the sorted,
+// de-duplicated union is order-insensitive) and block ids are assigned by a
+// leader-count prefix sum; both are independent of the job count.
 CfgInfo RecoverCfg(const Disassembly& dis, const BinaryImage& image,
                    ThreadPool* pool = nullptr);
 

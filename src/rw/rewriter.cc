@@ -1,6 +1,7 @@
 #include "src/rw/rewriter.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/support/check.h"
 #include "src/support/parallel.h"
@@ -66,43 +67,59 @@ Result<std::vector<SpanPlan>> PlanSpans(const Disassembly& dis, const CfgInfo& c
   REDFAT_CHECK(stats != nullptr);
   stats->requested = requests.size();
 
-  std::unordered_map<uint64_t, size_t> by_addr;
-  std::vector<uint64_t> addrs;
+  // (instruction index, request index) pairs, sorted by instruction.
+  // Validation reports the same error a scan in request order would: the
+  // first non-boundary request, unless an earlier request repeats an
+  // address.
+  std::vector<std::pair<size_t, size_t>> sites;
+  sites.reserve(requests.size());
+  size_t bad = SIZE_MAX;
   for (size_t r = 0; r < requests.size(); ++r) {
-    const uint64_t addr = requests[r].addr;
-    if (dis.IndexAt(addr) == SIZE_MAX) {
-      return Error(StrFormat("rewriter: request at 0x%llx is not an instruction boundary",
-                             static_cast<unsigned long long>(addr)));
+    const size_t index = dis.IndexAt(requests[r].addr);
+    if (index == SIZE_MAX) {
+      bad = r;
+      break;
     }
-    const bool inserted = by_addr.emplace(addr, r).second;
-    if (!inserted) {
-      return Error(StrFormat("rewriter: duplicate request at 0x%llx",
-                             static_cast<unsigned long long>(addr)));
-    }
-    addrs.push_back(addr);
+    sites.emplace_back(index, r);
   }
-  std::sort(addrs.begin(), addrs.end());
+  std::sort(sites.begin(), sites.end());
+  size_t dup = SIZE_MAX;
+  for (size_t k = 1; k < sites.size(); ++k) {
+    if (sites[k].first == sites[k - 1].first) {
+      dup = std::min(dup, sites[k].second);
+    }
+  }
+  if (dup != SIZE_MAX) {
+    return Error(StrFormat("rewriter: duplicate request at 0x%llx",
+                           static_cast<unsigned long long>(requests[dup].addr)));
+  }
+  if (bad != SIZE_MAX) {
+    return Error(StrFormat("rewriter: request at 0x%llx is not an instruction boundary",
+                           static_cast<unsigned long long>(requests[bad].addr)));
+  }
 
   std::vector<SpanPlan> spans;
-  uint64_t consumed_until = 0;  // sites below this were merged into a prior span
-  for (const uint64_t addr : addrs) {
-    if (addr < consumed_until) {
+  size_t consumed_until = 0;  // sites below this index were merged into a prior span
+  for (size_t k = 0; k < sites.size(); ++k) {
+    const size_t start_index = sites[k].first;
+    if (start_index < consumed_until) {
       continue;  // payload already emitted inside the covering span
     }
-    const size_t start_index = dis.IndexAt(addr);
 
     // Build the overwrite span: enough whole instructions to cover the jmp.
+    // `next` walks the later sites to find the payload of each slot.
     SpanPlan span;
-    span.addr = addr;
+    span.addr = dis.insns[start_index].addr;
     bool conflict_target = false;
     bool conflict_call = false;
+    size_t next = k;
     for (size_t i = start_index; span.span_len < kJmpLen; ++i) {
       if (i >= dis.insns.size()) {
         break;
       }
       const DisasmInsn& di = dis.insns[i];
       if (i != start_index) {
-        if (cfg.jump_targets.count(di.addr) != 0) {
+        if (cfg.is_target[i] != 0) {
           conflict_target = true;
           break;
         }
@@ -114,8 +131,11 @@ Result<std::vector<SpanPlan>> PlanSpans(const Disassembly& dis, const CfgInfo& c
         }
       }
       span.insn_indices.push_back(i);
-      auto it = by_addr.find(di.addr);
-      span.payloads.push_back(it == by_addr.end() ? SIZE_MAX : it->second);
+      while (next < sites.size() && sites[next].first < i) {
+        ++next;
+      }
+      const bool has_site = next < sites.size() && sites[next].first == i;
+      span.payloads.push_back(has_site ? sites[next].second : SIZE_MAX);
       span.span_len += di.length;
       if (conflict_call && span.span_len < kJmpLen) {
         break;  // call mid-span: remaining slots unreachable
@@ -133,7 +153,7 @@ Result<std::vector<SpanPlan>> PlanSpans(const Disassembly& dis, const CfgInfo& c
       ++stats->skipped_section_end;
       continue;
     }
-    consumed_until = dis.insns[span.insn_indices.back()].end();
+    consumed_until = span.insn_indices.back() + 1;
     spans.push_back(std::move(span));
   }
   return spans;
@@ -167,48 +187,61 @@ TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPla
                                RewriteStats* stats) {
   RewriteStats local;
   RewriteStats& st = stats != nullptr ? *stats : local;
+  const size_t n = spans.size();
+  const size_t num_chunks = pool != nullptr && pool->jobs() > 1
+                                ? std::min<size_t>(pool->jobs() * 4, std::max<size_t>(n, 1))
+                                : 1;
+  // Runs fn(c) for every chunk c >= first (on the pool when there is one).
+  const auto for_chunks = [&](size_t first, const std::function<void(size_t)>& fn) {
+    if (pool == nullptr) {
+      for (size_t c = first; c < num_chunks; ++c) {
+        fn(c);
+      }
+      return;
+    }
+    pool->ParallelFor(num_chunks - first, [&](size_t c) { fn(first + c); });
+  };
+
+  // Assemble contiguous chunks of spans, each at the region base; starts
+  // hold chunk-relative offsets until the layout is known.
   TrampolineCode code;
-  code.starts.assign(spans.size(), 0);
-  if (pool == nullptr || pool->jobs() <= 1 || spans.size() <= 1) {
-    Assembler tramp(trampoline_base);
-    for (size_t i = 0; i < spans.size(); ++i) {
-      code.starts[i] = tramp.Here();
-      st.applied += EmitSpanTrampoline(dis, tramp, spans[i], requests);
+  code.starts.assign(n, 0);
+  std::vector<Assembler> chunks(num_chunks, Assembler(trampoline_base));
+  std::vector<size_t> applied(num_chunks, 0);
+  const auto first_span = [&](size_t c) { return c * n / num_chunks; };
+  for_chunks(0, [&](size_t c) {
+    Assembler& as = chunks[c];
+    for (size_t i = first_span(c); i < first_span(c + 1); ++i) {
+      code.starts[i] = as.SizeBytes();
+      applied[c] += EmitSpanTrampoline(dis, as, spans[i], requests);
     }
-    code.bytes = tramp.Finish();
-  } else {
-    // Phase 1: measure every span's trampoline in parallel. Instruction
-    // encodings have fixed lengths, so the size does not depend on the
-    // final placement.
-    std::vector<size_t> sizes(spans.size(), 0);
-    pool->ParallelFor(spans.size(), [&](size_t i) {
-      Assembler probe(trampoline_base);
-      EmitSpanTrampoline(dis, probe, spans[i], requests);
-      sizes[i] = probe.SizeBytes();
-      probe.Finish();
-    });
-    // Layout: prefix sums give each span its final address.
-    uint64_t offset = 0;
-    for (size_t i = 0; i < spans.size(); ++i) {
-      code.starts[i] = trampoline_base + offset;
-      offset += sizes[i];
-    }
-    // Phase 2: emit every span at its final address in parallel.
-    std::vector<std::vector<uint8_t>> blobs(spans.size());
-    std::vector<size_t> applied(spans.size(), 0);
-    pool->ParallelFor(spans.size(), [&](size_t i) {
-      Assembler as(code.starts[i]);
-      applied[i] = EmitSpanTrampoline(dis, as, spans[i], requests);
-      blobs[i] = as.Finish();
-      REDFAT_CHECK(blobs[i].size() == sizes[i]);
-    });
-    code.bytes.reserve(offset);
-    for (size_t i = 0; i < spans.size(); ++i) {
-      st.applied += applied[i];
-      code.bytes.insert(code.bytes.end(), blobs[i].begin(), blobs[i].end());
+  });
+
+  // Lay the chunks out back to back (prefix sum).
+  std::vector<uint64_t> chunk_base(num_chunks);
+  uint64_t size = 0;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    chunk_base[c] = trampoline_base + size;
+    size += chunks[c].SizeBytes();
+    st.applied += applied[c];
+  }
+
+  // Chunk 0 already sits at the region base and becomes the output buffer;
+  // every later chunk is re-aimed at its final address and copied in.
+  code.bytes = chunks[0].Finish();
+  code.bytes.resize(size);
+  for_chunks(1, [&](size_t c) {
+    chunks[c].Rebase(chunk_base[c]);
+    const std::vector<uint8_t> bytes = chunks[c].Finish();
+    std::copy(bytes.begin(), bytes.end(),
+              code.bytes.begin() + static_cast<ptrdiff_t>(chunk_base[c] - trampoline_base));
+  });
+  for (size_t c = 0; c < num_chunks; ++c) {
+    for (size_t i = first_span(c); i < first_span(c + 1); ++i) {
+      code.starts[i] += chunk_base[c];
     }
   }
-  st.trampolines = spans.size();
+  st.trampolines = n;
   st.trampoline_bytes = code.bytes.size();
   return code;
 }
@@ -217,12 +250,12 @@ TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPla
                                const std::vector<PatchRequest>& requests,
                                uint64_t trampoline_base, unsigned jobs, RewriteStats* stats) {
   jobs = ResolveJobs(jobs);
-  if (jobs <= 1 || spans.size() <= 1) {
-    return EmitTrampolines(dis, spans, requests, trampoline_base,
-                           static_cast<ThreadPool*>(nullptr), stats);
+  std::optional<ThreadPool> pool;
+  if (jobs > 1 && spans.size() > 1) {
+    pool.emplace(jobs);
   }
-  ThreadPool pool(jobs);
-  return EmitTrampolines(dis, spans, requests, trampoline_base, &pool, stats);
+  return EmitTrampolines(dis, spans, requests, trampoline_base,
+                         pool.has_value() ? &*pool : nullptr, stats);
 }
 
 void PatchSpans(Section* text, const std::vector<SpanPlan>& spans,

@@ -24,12 +24,11 @@
 // parallelize each stage independently):
 //   PlanSpans        — serial: overwrite-span construction + conflicts;
 //   EmitTrampolines  — per-span code emission (payloads + relocations +
-//                      jump back). Every instruction encoding has a fixed
-//                      length, so a span's trampoline size is independent
-//                      of where it is placed; with `jobs > 1` all spans are
-//                      measured in parallel, the final layout is a prefix
-//                      sum, and each span is re-emitted at its final
-//                      address — byte-identical to the serial layout;
+//                      jump back), each span emitted once. Contiguous
+//                      chunks of spans are assembled at the region base
+//                      (in parallel with a pool), laid out by prefix sum,
+//                      and moved into place with Assembler::Rebase —
+//                      byte-identical to one serial pass;
 //   PatchSpans       — serial: overwrite the original text bytes.
 // The Rewriter class composes the three over its own disassembly.
 #ifndef REDFAT_SRC_RW_REWRITER_H_
@@ -37,7 +36,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/asm/assembler.h"
@@ -51,7 +49,8 @@ namespace redfat {
 // preserve all guest-visible state it does not own (the caller decides
 // which registers/flags are dead via its own clobber analysis). Payload
 // emitters must be safe to invoke concurrently from the parallel emission
-// stage (they may run once per layout phase per span).
+// stage, and must not depend on where the code lands beyond what
+// Assembler::Rebase re-aims (labels, *Abs branches, rip-relative operands).
 using PayloadEmitter = std::function<void(Assembler&)>;
 
 struct PatchRequest {
@@ -97,8 +96,9 @@ size_t EmitSpanTrampoline(const Disassembly& dis, Assembler& as, const SpanPlan&
 
 // Stage 2: emits all span trampolines as one code blob based at
 // `trampoline_base`, recording each span's start address. With `jobs > 1`
-// the spans are emitted across a thread pool; the blob is byte-identical
-// to `jobs == 1`. Fills stats->applied/trampolines/trampoline_bytes.
+// chunks of spans are emitted across a thread pool; the blob is
+// byte-identical to `jobs == 1`. Fills stats->applied/trampolines/
+// trampoline_bytes.
 struct TrampolineCode {
   std::vector<uint8_t> bytes;
   std::vector<uint64_t> starts;  // parallel to the span vector
@@ -107,8 +107,8 @@ TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPla
                                const std::vector<PatchRequest>& requests,
                                uint64_t trampoline_base, unsigned jobs, RewriteStats* stats);
 
-// Pool form: same two-phase measure/layout/emit, but on the pipeline's
-// persistent workers instead of a per-call pool (nullptr = serial).
+// Pool form: the same emission on the pipeline's persistent workers
+// instead of a per-call pool (nullptr = serial, one chunk).
 TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPlan>& spans,
                                const std::vector<PatchRequest>& requests,
                                uint64_t trampoline_base, ThreadPool* pool,

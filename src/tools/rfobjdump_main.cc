@@ -42,7 +42,7 @@ void DumpCode(const std::vector<uint8_t>& bytes, uint64_t vaddr, const CfgInfo* 
       continue;
     }
     const char* marker = "";
-    if (cfg != nullptr && cfg->jump_targets.count(addr) != 0) {
+    if (cfg != nullptr && cfg->IsJumpTarget(addr)) {
       marker = "  <- jump target";
     }
     std::string text = ToString(d.value().insn);

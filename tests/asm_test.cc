@@ -78,6 +78,72 @@ TEST(AssemblerDeath, DoubleBindChecks) {
   EXPECT_DEATH(as.Bind(l), "CHECK failed");
 }
 
+// Emits every position-dependent form: label branches and MovLabelAddr
+// (resolved at Finish), and the out-of-buffer PC-relative fields that
+// Rebase re-aims. Rip-relative displacements are computed from Here(), as
+// relocation and check codegen do, so they aim at fixed absolute targets.
+void EmitPositionDependentCode(Assembler& as) {
+  const auto rip_to = [&as](Op op, uint64_t target) {
+    const uint64_t next = as.Here() + EncodedLength(op);
+    return MemAt(Reg::kRip, static_cast<int32_t>(static_cast<int64_t>(target) -
+                                                 static_cast<int64_t>(next)));
+  };
+  auto fwd = as.NewLabel();
+  auto back = as.NewLabel();
+  auto fn = as.NewLabel();
+  as.Bind(back);
+  as.MovLabelAddr(Reg::kRax, fn);
+  as.Jmp(fwd);
+  as.Jcc(Cond::kNe, back);
+  as.Call(fn);
+  as.JmpAbs(0x400100);
+  as.JccAbs(Cond::kUlt, 0x400200);
+  as.CallAbs(0x400300);
+  as.Load(Reg::kRbx, rip_to(Op::kLoad, 0x600000));
+  as.Store(Reg::kRcx, rip_to(Op::kStoreR, 0x600008));
+  as.StoreI(rip_to(Op::kStoreI, 0x600010), -7);
+  as.Lea(Reg::kRdx, rip_to(Op::kLea, 0x600018));
+  as.Load(Reg::kRsi, MemAt(Reg::kRbx, 16));  // not PC-relative: untouched
+  as.Bind(fwd);
+  as.Nop();
+  as.Bind(fn);
+  as.Ret();
+}
+
+TEST(Assembler, RebaseMatchesAssemblingAtTheNewBase) {
+  for (const uint64_t b : {0x10400000ull, 0x10400000ull + 0x1234, 0x500000ull}) {
+    Assembler direct(b);
+    EmitPositionDependentCode(direct);
+    Assembler moved(0x10400000);
+    EmitPositionDependentCode(moved);
+    moved.Rebase(b);
+    EXPECT_EQ(moved.Here(), direct.Here());
+    EXPECT_EQ(moved.Finish(), direct.Finish()) << std::hex << b;
+  }
+}
+
+TEST(Assembler, RebaseTwiceComposes) {
+  Assembler direct(0x20000000);
+  EmitPositionDependentCode(direct);
+  Assembler moved(0x10000000);
+  EmitPositionDependentCode(moved);
+  moved.Rebase(0x30000000);
+  moved.Rebase(0x20000000);
+  EXPECT_EQ(moved.Finish(), direct.Finish());
+}
+
+TEST(AssemblerDeath, RebaseOverflowingRel32Checks) {
+  Assembler as(0x10000000);
+  as.JmpAbs(0x400000);
+  EXPECT_DEATH(as.Rebase(0x10000000ull + (3ull << 30)), "CHECK failed");
+}
+
+TEST(AssemblerDeath, RebaseOverflowingRipDispChecks) {
+  Assembler as(0x10000000);
+  as.Lea(Reg::kRax, MemAt(Reg::kRip, -0x1000));
+  EXPECT_DEATH(as.Rebase(0x10000000ull + (3ull << 30)), "CHECK failed");
+}
+
 TEST(Image, SerializeRoundTrip) {
   ProgramBuilder pb;
   const uint64_t d = pb.AddDataU64({1, 2, 3});

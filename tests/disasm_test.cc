@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/rw/disasm.h"
 #include "src/rw/liveness.h"
 #include "src/workloads/builder.h"
@@ -27,6 +29,27 @@ TEST(Disasm, LinearSweepCoversWholeText) {
   EXPECT_EQ(dis.value().IndexAt(kCodeBase + 1), SIZE_MAX);
 }
 
+TEST(Disasm, IndexAtIsExactOnInstructionStarts) {
+  ProgramBuilder pb;
+  Assembler& as = pb.text();
+  as.MovRI(Reg::kRax, 1);  // 10 bytes
+  as.AddI(Reg::kRax, 2);   // 6 bytes
+  as.Nop();                // 1 byte
+  pb.EmitExit(0);
+  const BinaryImage img = pb.Finish();
+  const Disassembly dis = DisassembleText(img).value();
+  for (size_t i = 0; i < dis.insns.size(); ++i) {
+    EXPECT_EQ(dis.IndexAt(dis.insns[i].addr), i);
+    // Every byte inside an instruction but its first is mid-instruction.
+    for (uint64_t a = dis.insns[i].addr + 1; a < dis.insns[i].end(); ++a) {
+      EXPECT_EQ(dis.IndexAt(a), SIZE_MAX) << std::hex << a;
+    }
+  }
+  EXPECT_EQ(dis.IndexAt(kCodeBase - 1), SIZE_MAX);      // before the text
+  EXPECT_EQ(dis.IndexAt(dis.text_end), SIZE_MAX);       // one past the end
+  EXPECT_EQ(dis.IndexAt(dis.text_end + 100), SIZE_MAX);  // far past the end
+}
+
 TEST(Disasm, RejectsGarbage) {
   BinaryImage img;
   img.entry = kCodeBase;
@@ -50,7 +73,10 @@ TEST(Cfg, DirectBranchTargetsRecovered) {
   const BinaryImage img = pb.Finish();
   const Disassembly dis = DisassembleText(img).value();
   const CfgInfo cfg = RecoverCfg(dis, img);
-  EXPECT_TRUE(cfg.jump_targets.count(kCodeBase + 7) != 0);  // after jcc+nop
+  EXPECT_TRUE(cfg.IsJumpTarget(kCodeBase + 7));  // after jcc+nop
+  EXPECT_TRUE(cfg.is_target[dis.IndexAt(kCodeBase + 7)]);
+  EXPECT_FALSE(cfg.is_target[dis.IndexAt(kCodeBase + 6)]);
+  EXPECT_TRUE(std::is_sorted(cfg.jump_targets.begin(), cfg.jump_targets.end()));
   // Block split at the target: nop@6 and nop@7 are in different blocks.
   EXPECT_NE(cfg.block_id[dis.IndexAt(kCodeBase + 6)],
             cfg.block_id[dis.IndexAt(kCodeBase + 7)]);
@@ -81,7 +107,7 @@ TEST(Cfg, CodePointerConstantsAreTargets) {
   const BinaryImage img = pb.Finish();
   const Disassembly dis = DisassembleText(img).value();
   const CfgInfo cfg = RecoverCfg(dis, img);
-  EXPECT_TRUE(cfg.jump_targets.count(kCodeBase + 12) != 0)
+  EXPECT_TRUE(cfg.IsJumpTarget(kCodeBase + 12))
       << "imm64 code pointer must be treated as an indirect target";
 }
 
@@ -96,7 +122,7 @@ TEST(Cfg, DataWordsPointingIntoTextAreTargets) {
   const BinaryImage img = pb.Finish();
   const Disassembly dis = DisassembleText(img).value();
   const CfgInfo cfg = RecoverCfg(dis, img);
-  EXPECT_TRUE(cfg.jump_targets.count(stub_addr) != 0);
+  EXPECT_TRUE(cfg.IsJumpTarget(stub_addr));
 }
 
 TEST(Cfg, MidInstructionDataWordIsIgnored) {
@@ -108,7 +134,7 @@ TEST(Cfg, MidInstructionDataWordIsIgnored) {
   const BinaryImage img = pb.Finish();
   const Disassembly dis = DisassembleText(img).value();
   const CfgInfo cfg = RecoverCfg(dis, img);
-  EXPECT_EQ(cfg.jump_targets.count(kCodeBase + 3), 0u);
+  EXPECT_FALSE(cfg.IsJumpTarget(kCodeBase + 3));
 }
 
 TEST(Cfg, CallFallthroughIsTarget) {
@@ -123,7 +149,34 @@ TEST(Cfg, CallFallthroughIsTarget) {
   const BinaryImage img = pb.Finish();
   const Disassembly dis = DisassembleText(img).value();
   const CfgInfo cfg = RecoverCfg(dis, img);
-  EXPECT_TRUE(cfg.jump_targets.count(ret_site) != 0);
+  EXPECT_TRUE(cfg.IsJumpTarget(ret_site));
+}
+
+TEST(Cfg, OutOfTextTargetsAreKeptAndFlagNoInstruction) {
+  // A call as the last text instruction: its return site is the end of the
+  // text. The target stays in the list (rfobjdump counts it) but flags no
+  // instruction.
+  ProgramBuilder pb;
+  Assembler& as = pb.text();
+  auto fn = as.NewLabel();
+  auto start = as.NewLabel();
+  as.Jmp(start);
+  as.Bind(fn);
+  pb.EmitExit(0);
+  as.Bind(start);
+  as.Call(fn);
+  const BinaryImage img = pb.Finish();
+  const Disassembly dis = DisassembleText(img).value();
+  const CfgInfo cfg = RecoverCfg(dis, img);
+  EXPECT_TRUE(cfg.IsJumpTarget(dis.text_end));
+  EXPECT_TRUE(cfg.IsJumpTarget(kCodeBase + 5));  // fn
+  ASSERT_EQ(cfg.is_target.size(), dis.insns.size());
+  size_t flagged = 0;
+  for (size_t i = 0; i < dis.insns.size(); ++i) {
+    EXPECT_EQ(cfg.is_target[i] != 0, cfg.IsJumpTarget(dis.insns[i].addr));
+    flagged += cfg.is_target[i];
+  }
+  EXPECT_EQ(flagged + 1, cfg.jump_targets.size());
 }
 
 TEST(Liveness, OverwrittenRegisterIsDead) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "src/rw/rewriter.h"
+#include "src/support/parallel.h"
+#include "src/support/str.h"
 #include "src/vm/vm.h"
 #include "src/workloads/builder.h"
 
@@ -234,14 +236,37 @@ TEST(Rewriter, MultipleSitesInOneSpanShareTrampoline) {
 
 TEST(Rewriter, RejectsNonBoundaryAndDuplicateRequests) {
   ProgramBuilder pb;
-  pb.text().MovRI(Reg::kRax, 0);
+  pb.text().MovRI(Reg::kRax, 0);  // 10 bytes
   pb.EmitExit(0);
   const BinaryImage img = pb.Finish();
   Rewriter rw(img);
   ASSERT_TRUE(rw.ok());
-  EXPECT_FALSE(rw.Apply({{kCodeBase + 1, CountPayload(0)}}, nullptr).ok());
-  EXPECT_FALSE(
-      rw.Apply({{kCodeBase, CountPayload(0)}, {kCodeBase, CountPayload(1)}}, nullptr).ok());
+  const uint64_t a = kCodeBase;
+  const uint64_t b = kCodeBase + 10;
+  const auto error_of = [&](const std::vector<uint64_t>& addrs) {
+    std::vector<PatchRequest> requests;
+    for (const uint64_t addr : addrs) {
+      requests.push_back({addr, CountPayload(0)});
+    }
+    Result<BinaryImage> r = rw.Apply(requests, nullptr);
+    return r.ok() ? std::string("ok") : r.error();
+  };
+  const auto not_boundary = [](uint64_t addr) {
+    return StrFormat("rewriter: request at 0x%llx is not an instruction boundary",
+                     static_cast<unsigned long long>(addr));
+  };
+  const auto duplicate = [](uint64_t addr) {
+    return StrFormat("rewriter: duplicate request at 0x%llx",
+                     static_cast<unsigned long long>(addr));
+  };
+  EXPECT_EQ(error_of({a + 1}), not_boundary(a + 1));
+  EXPECT_EQ(error_of({a, a}), duplicate(a));
+  // The first offending request in request order decides the message.
+  EXPECT_EQ(error_of({a, a, a + 1}), duplicate(a));
+  EXPECT_EQ(error_of({a, a + 1, a}), not_boundary(a + 1));
+  EXPECT_EQ(error_of({b, a, a + 3, b}), not_boundary(a + 3));
+  EXPECT_EQ(error_of({a, b, b, a}), duplicate(b));
+  EXPECT_EQ(error_of({b, a, a, b}), duplicate(a));
 }
 
 TEST(Rewriter, StrayJumpIntoPatchedBytesFaults) {
@@ -263,6 +288,106 @@ TEST(Rewriter, StrayJumpIntoPatchedBytesFaults) {
   const uint64_t off = store_addr - text->vaddr;
   for (unsigned i = 5; i < 9; ++i) {
     EXPECT_EQ(text->bytes[off + i], static_cast<uint8_t>(Op::kUd2));
+  }
+}
+
+// A payload with every position-dependent form check codegen uses: a
+// rip-relative operand aimed at a fixed address and a label branch.
+PayloadEmitter RipPayload(uint32_t id, uint64_t target) {
+  return [id, target](Assembler& as) {
+    const auto skip = as.NewLabel();
+    as.Count(id);
+    const uint64_t next = as.Here() + EncodedLength(Op::kLea);
+    as.Lea(Reg::kR11, MemAt(Reg::kRip, static_cast<int32_t>(target - next)));
+    as.Jcc(Cond::kEq, skip);
+    as.Nop();
+    as.Bind(skip);
+  };
+}
+
+TEST(EmitTrampolines, IdenticalForEveryPoolWidth) {
+  // Many short and long sites, with displaced branches, calls and
+  // rip-relative operands, so spans pun, relocate and jump back.
+  ProgramBuilder pb;
+  const uint64_t buf = pb.AddZeroData(64);
+  Assembler& as = pb.text();
+  auto fn = as.NewLabel();
+  auto top = as.NewLabel();
+  std::vector<uint64_t> sites;
+  as.MovRI(Reg::kRbx, buf);
+  as.Bind(top);
+  for (int i = 0; i < 40; ++i) {
+    sites.push_back(as.Here());
+    switch (i % 4) {
+      case 0:
+        as.Store(Reg::kRax, MemAt(Reg::kRbx, 8 * (i % 8)));
+        break;
+      case 1:
+        as.MovRR(Reg::kRcx, Reg::kRbx);  // 2 bytes: puns over the next insn
+        as.Jcc(Cond::kEq, top);
+        break;
+      case 2: {
+        const uint64_t next = as.Here() + EncodedLength(Op::kLoad);
+        as.Load(Reg::kRdx, MemAt(Reg::kRip, static_cast<int32_t>(buf - next)));
+        break;
+      }
+      case 3:
+        as.MovRR(Reg::kRsi, Reg::kRbx);
+        as.Call(fn);
+        break;
+    }
+  }
+  pb.EmitExit(0);
+  as.Bind(fn);
+  as.Ret();
+  const BinaryImage img = pb.Finish();
+
+  Rewriter rw(img);
+  ASSERT_TRUE(rw.ok()) << rw.error();
+  std::vector<PatchRequest> requests;
+  for (size_t i = 0; i < sites.size(); ++i) {
+    requests.push_back({sites[i], RipPayload(static_cast<uint32_t>(i), buf + 8 * i)});
+  }
+  RewriteStats plan_stats;
+  Result<std::vector<SpanPlan>> planned =
+      PlanSpans(rw.disasm(), rw.cfg(), requests, &plan_stats);
+  ASSERT_TRUE(planned.ok()) << planned.error();
+  const std::vector<SpanPlan>& all = planned.value();
+  ASSERT_GT(all.size(), 20u);
+
+  // 0 spans, fewer spans than any pool's chunk count, and all of them.
+  for (const size_t count : {size_t{0}, size_t{1}, size_t{3}, all.size()}) {
+    const std::vector<SpanPlan> spans(all.begin(), all.begin() + count);
+    // Reference: every span emitted back to back into one assembler.
+    Assembler ref(kTrampolineBase);
+    std::vector<uint64_t> ref_starts;
+    size_t ref_applied = 0;
+    for (const SpanPlan& span : spans) {
+      ref_starts.push_back(ref.Here());
+      ref_applied += EmitSpanTrampoline(rw.disasm(), ref, span, requests);
+    }
+    const std::vector<uint8_t> ref_bytes = ref.Finish();
+
+    RewriteStats serial_stats;
+    const TrampolineCode serial =
+        EmitTrampolines(rw.disasm(), spans, requests, kTrampolineBase,
+                        static_cast<ThreadPool*>(nullptr), &serial_stats);
+    EXPECT_EQ(serial.bytes, ref_bytes) << count;
+    EXPECT_EQ(serial.starts, ref_starts) << count;
+    EXPECT_EQ(serial_stats.applied, ref_applied);
+    EXPECT_EQ(serial_stats.trampolines, count);
+    EXPECT_EQ(serial_stats.trampoline_bytes, ref_bytes.size());
+    for (const unsigned jobs : {1u, 2u, 8u}) {
+      ThreadPool pool(jobs);
+      RewriteStats st;
+      const TrampolineCode code =
+          EmitTrampolines(rw.disasm(), spans, requests, kTrampolineBase, &pool, &st);
+      EXPECT_EQ(code.bytes, ref_bytes) << count << " spans, " << jobs << " jobs";
+      EXPECT_EQ(code.starts, ref_starts) << count << " spans, " << jobs << " jobs";
+      EXPECT_EQ(st.applied, ref_applied);
+      EXPECT_EQ(st.trampolines, count);
+      EXPECT_EQ(st.trampoline_bytes, ref_bytes.size());
+    }
   }
 }
 
