@@ -1,17 +1,15 @@
 // VM dispatch-engine benchmark: host wall-clock throughput (guest MIPS) of
-// the superblock engine's dispatch modes vs the reference stepper.
+// the fast engine vs the reference stepper.
 //
-// Runs one Kraken kernel — baseline and RedFat-instrumented — under four
-// dispatch modes, with and without telemetry attached, best-of-reps, and
-// writes BENCH_vm_dispatch.json:
+// Runs one Kraken kernel — baseline and RedFat-instrumented — under both
+// engines, with and without telemetry attached, best-of-reps, and writes
+// BENCH_vm_dispatch.json:
 //
 //   step    — reference per-instruction interpreter
-//   block   — superblock engine, chaining and specialization off
-//   spec    — superblock engine + specialized opcode handlers, no chaining
-//   chained — direct superblock chaining + specialization + traces (the
-//             production default)
+//   chained — the fast engine: specialized handlers + direct superblock
+//             chaining + traces (the production default)
 //
-// Guest-visible results are asserted identical across every mode on every
+// Guest-visible results are asserted identical across both engines on every
 // cell (the bit-identity contract the differential test proves exhaustively,
 // re-checked on the bench workload); only the host time may differ. CI gates
 // on speedup_instrumented ≥ 3x (chained vs step, telemetry off).
@@ -42,15 +40,11 @@ double NowMs() {
 struct Mode {
   const char* name;
   VmEngine engine;
-  bool chain;
-  bool specialize;
 };
 
 constexpr Mode kModes[] = {
-    {"step", VmEngine::kStep, false, false},
-    {"block", VmEngine::kBlock, false, false},
-    {"spec", VmEngine::kBlock, false, true},
-    {"chained", VmEngine::kBlock, true, true},
+    {"step", VmEngine::kStep},
+    {"chained", VmEngine::kBlock},
 };
 
 struct Cell {
@@ -101,8 +95,8 @@ int Main(int argc, char** argv) {
   std::vector<Cell> cells;
   for (const ImageCase& ic : images) {
     for (const bool with_telemetry : {false, true}) {
-      // The step run doubles as the reference fingerprint for every other
-      // mode's cell.
+      // The step run doubles as the reference fingerprint for the chained
+      // cell.
       std::string ref_fingerprint;
       for (const Mode& mode : kModes) {
         Cell cell;
@@ -115,8 +109,6 @@ int Main(int argc, char** argv) {
           RunConfig cfg;
           cfg.inputs = RefInputs(iters);
           cfg.engine = mode.engine;
-          cfg.chain = mode.chain;
-          cfg.specialize = mode.specialize;
           if (with_telemetry) {
             cfg.telemetry = &telemetry;
           }
@@ -170,12 +162,9 @@ int Main(int argc, char** argv) {
   // the instrumented image, telemetry off.
   const double speedup_baseline = speedup("baseline", "chained", false);
   const double speedup_instrumented = speedup("instrumented", "chained", false);
-  const double speedup_instrumented_block = speedup("instrumented", "block", false);
-  const double speedup_instrumented_spec = speedup("instrumented", "spec", false);
   const double speedup_instrumented_telemetry = speedup("instrumented", "chained", true);
-  std::printf("\ninstrumented speedup vs step: block %.2fx, spec %.2fx, chained %.2fx "
-              "(telemetry on: %.2fx); baseline chained %.2fx\n",
-              speedup_instrumented_block, speedup_instrumented_spec,
+  std::printf("\ninstrumented speedup vs step: chained %.2fx (telemetry on: %.2fx); "
+              "baseline chained %.2fx\n",
               speedup_instrumented, speedup_instrumented_telemetry, speedup_baseline);
 
   std::string json = "{\"bench\":\"vm_dispatch\",";
@@ -185,8 +174,6 @@ int Main(int argc, char** argv) {
   json += StrFormat("\"reps\":%d,\"quick\":%s,", reps, quick ? "true" : "false");
   json += StrFormat("\"speedup_baseline\":%.3f,", speedup_baseline);
   json += StrFormat("\"speedup_instrumented\":%.3f,", speedup_instrumented);
-  json += StrFormat("\"speedup_instrumented_block\":%.3f,", speedup_instrumented_block);
-  json += StrFormat("\"speedup_instrumented_spec\":%.3f,", speedup_instrumented_spec);
   json += StrFormat("\"speedup_instrumented_telemetry\":%.3f,\"runs\":[",
                     speedup_instrumented_telemetry);
   for (size_t i = 0; i < cells.size(); ++i) {

@@ -56,11 +56,6 @@ RunOutcome RunImages(const std::vector<const BinaryImage*>& images, RuntimeKind 
   vm.set_rng_seed(config.rng_seed);
   vm.set_instruction_limit(config.instruction_limit);
   vm.set_engine(config.engine);
-  vm.set_chaining(config.chain);
-  vm.set_specialize(config.specialize);
-  if (config.code_cache_size != 0) {
-    vm.set_code_cache_size(config.code_cache_size);
-  }
   if (config.metrics_epoch != 0 && config.on_epoch) {
     vm.set_epoch_hook(config.metrics_epoch, config.on_epoch);
   }

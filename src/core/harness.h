@@ -44,21 +44,11 @@ struct RunConfig {
   // When `random` is on, the placement seed is derived from rng_seed so
   // randomized layouts stay reproducible per run.
   RheapOptions rheap;
-  // Dispatch engine. kBlock (superblock code cache) is the production
-  // default; kStep remains for differential testing. Guest-visible results
-  // are bit-identical either way.
+  // Dispatch engine. kBlock (the fast engine) is the production default;
+  // kStep remains for differential testing, and runs with an `observer`
+  // attached always use it. Guest-visible results are bit-identical either
+  // way.
   VmEngine engine = VmEngine::kBlock;
-  // Block-engine dispatch knobs (ignored under kStep). Direct superblock
-  // chaining and specialized opcode handlers are the production defaults;
-  // turning either off (rfrun --no-chain) bisects a suspected dispatch bug
-  // against plain block mode without rebuilding. Guest-visible results are
-  // bit-identical regardless.
-  bool chain = true;
-  bool specialize = true;
-  // Code-cache capacity in superblock entries; 0 keeps the engine default
-  // (4096). Must be a power of two otherwise (callers validate; the VM
-  // hard-checks).
-  size_t code_cache_size = 0;
   // When nonzero, `on_epoch` fires every `metrics_epoch` guest instructions
   // (exactly — never mid-instruction, and at the same points under either
   // engine). Used by rfrun --metrics-epoch to write delta snapshots.
@@ -83,8 +73,8 @@ struct RunConfig {
   // Tier label stamped into forensic reports ("" = unknown).
   std::string forensic_tier;
   // Optional per-instruction observer (not owned), e.g. the debug tier's
-  // shadow-check observer. Wired into the VM before the run; null (the
-  // default) keeps the VM's observer hook on its fast path.
+  // shadow-check observer. Wired into the VM before the run; while one is
+  // attached the VM runs on the stepper, whatever `engine` says.
   ExecObserver* observer = nullptr;
   // Optional site tables parallel to the `images` argument of RunImages
   // (missing/null entries are fine). When set alongside `trace`, the harness

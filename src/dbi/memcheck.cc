@@ -62,7 +62,6 @@ RunOutcome RunMemcheck(const BinaryImage& image, const RunConfig& config,
   vm.set_inputs(config.inputs);
   vm.set_rng_seed(config.rng_seed);
   vm.set_instruction_limit(config.instruction_limit);
-  vm.set_engine(config.engine);
   if (config.metrics_epoch != 0 && config.on_epoch) {
     vm.set_epoch_hook(config.metrics_epoch, config.on_epoch);
   }

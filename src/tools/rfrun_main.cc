@@ -40,15 +40,11 @@
 //                          `redfat --merge-metrics` reproduces the one-shot
 //                          FILE exactly
 //   --engine=step|block    interpreter dispatch engine (default: block, the
-//                          superblock code cache; step is the reference
-//                          per-instruction loop — results are bit-identical)
-//   --no-chain             block engine only: disable direct superblock
-//                          chaining (and trace formation), forcing every
-//                          block exit back through the dispatcher. Bisects
-//                          chained against plain block mode without
-//                          rebuilding; results are bit-identical
-//   --code-cache-size=N    block engine code-cache capacity in superblock
-//                          entries (default 4096; must be a power of two)
+//                          fast engine: chained, specialized superblocks;
+//                          step is the reference per-instruction loop —
+//                          results are bit-identical). --harden=debug and
+//                          --runtime=memcheck attach a per-instruction
+//                          observer and always run on step
 //   --trace FILE           Chrome trace-event JSON of the run (trampoline
 //                          slices, allocator events; guest cycles as µs)
 //   --report               human-readable per-site report on stdout, joining
@@ -112,8 +108,7 @@ int Usage() {
                "             [--rheap=prot-freelist,guard-memcpy,random,quarantine=N|none]\n"
                "             [--policy=harden|log] [--profile-dump FILE] [--sitemap FILE]\n"
                "             [--seed N] [--limit N] [--stats] [--metrics FILE]\n"
-               "             [--metrics-epoch=N] [--engine=step|block] [--no-chain]\n"
-               "             [--code-cache-size=N]\n"
+               "             [--metrics-epoch=N] [--engine=step|block]\n"
                "             [--trace FILE] [--report] [--pipeline-stats FILE]\n"
                "             [--lib FILE[:SITEMAP]]...\n"
                "             [--sample-period=N] [--profile-folded FILE]\n"
@@ -226,21 +221,6 @@ int Main(int argc, char** argv) {
       } else {
         return Usage();
       }
-    } else if (arg == "--no-chain") {
-      cfg.chain = false;
-    } else if (arg.rfind("--code-cache-size=", 0) == 0) {
-      const std::string value = arg.substr(18);
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(value.c_str(), &end, 0);
-      if (value.empty() || end == nullptr || *end != '\0' || n == 0 ||
-          (n & (n - 1)) != 0) {
-        std::fprintf(stderr,
-                     "rfrun: --code-cache-size must be a power-of-two entry "
-                     "count, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      cfg.code_cache_size = static_cast<size_t>(n);
     } else if (arg == "--trace" && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (arg.rfind("--trace=", 0) == 0) {

@@ -1,5 +1,7 @@
 #include "src/vm/memory.h"
 
+#include <algorithm>
+
 #include "src/support/check.h"
 
 namespace redfat {
@@ -83,6 +85,21 @@ void Memory::Fill(uint64_t addr, uint8_t value, uint64_t n) {
     }
     Page* p = TouchPage(a >> kPageShift);
     std::memset(p->data() + in_page, value, chunk);
+    done += chunk;
+  }
+}
+
+void Memory::Copy(uint64_t dst, uint64_t src, uint64_t n) {
+  uint8_t buf[kPageSize];
+  // When dst lies inside (src, src + n) a forward walk would read bytes it
+  // has already overwritten, so walk the range from the top down instead.
+  const bool down = dst != src && dst - src < n;
+  uint64_t done = 0;
+  while (done < n) {
+    const uint64_t chunk = std::min<uint64_t>(kPageSize, n - done);
+    const uint64_t off = down ? n - done - chunk : done;
+    ReadBytes(src + off, buf, chunk);
+    WriteBytes(dst + off, buf, chunk);
     done += chunk;
   }
 }

@@ -42,6 +42,12 @@ class Memory {
   void ReadBytes(uint64_t addr, uint8_t* out, size_t n) const;
   void WriteBytes(uint64_t addr, const uint8_t* in, size_t n);
   void Fill(uint64_t addr, uint8_t value, uint64_t n);
+  // memmove over guest memory: the destination receives the source bytes as
+  // they were before the call, even when the ranges overlap. Copies in
+  // page-sized chunks through a stack buffer, so host memory stays bounded
+  // whatever `n` is, and materializes exactly the destination pages
+  // WriteBytes would (absent source pages read as 0 and stay absent).
+  void Copy(uint64_t dst, uint64_t src, uint64_t n);
 
   // Number of pages ever materialized (a proxy for resident memory).
   size_t TouchedPages() const { return pages_.size(); }

@@ -70,18 +70,6 @@ void Vm::LoadImage(const BinaryImage& image) {
   memory_.InvalidateTlb();
 }
 
-void Vm::set_code_cache_size(size_t entries) {
-  REDFAT_CHECK(entries != 0 && (entries & (entries - 1)) == 0);
-  block_cache_size_ = entries;
-  // Resize invalidates every Block* (chain links, trace heads): drop the lot
-  // and rebuild on demand.
-  block_cache_.clear();
-  traces_.clear();
-  trace_recording_ = false;
-  trace_head_ = nullptr;
-  trace_rec_ = Trace{};
-}
-
 void Vm::set_telemetry(TelemetryRegistry* t) {
   telemetry_ = t;
   tshard_ = t != nullptr ? t->shard() : nullptr;
@@ -267,9 +255,9 @@ void Vm::BuildSpec(Exec* ex, uint64_t addr) {
 
 Vm::Block* Vm::FetchBlock(uint64_t addr, std::string* fault) {
   if (block_cache_.empty()) {
-    block_cache_.resize(block_cache_size_);
+    block_cache_.resize(kBlockCacheSize);
   }
-  Block& b = block_cache_[addr & (block_cache_size_ - 1)];
+  Block& b = block_cache_[addr & (kBlockCacheSize - 1)];
   if (b.entry == addr) {
     return &b;
   }
@@ -547,9 +535,7 @@ bool Vm::DoHostCall(HostFn fn, std::string* fault) {
           return true;
         }
       }
-      std::vector<uint8_t> buf(a2);
-      memory_.ReadBytes(a1, buf.data(), buf.size());
-      memory_.WriteBytes(a0, buf.data(), buf.size());
+      memory_.Copy(a0, a1, a2);
       cycles_ += (a2 / 8) * model_.membyte_per8;
       return true;
     }
@@ -1328,13 +1314,6 @@ void Vm::RunBlockLoop(RunResult* res) {
       (tshard_ != nullptr || trace_ != nullptr || sampler_ != nullptr) &&
       !tramp_ranges_.empty();
   const bool track_sb = h_superblock_len_ != nullptr;
-  // The per-instruction observer hook is exactly what chaining and
-  // specialization elide, so observer-attached runs transparently fall back
-  // to generic unchained dispatch: bit-identical results, the observer fires
-  // before every instruction, just slower.
-  const bool use_spec = spec_ && observer_ == nullptr;
-  const bool use_chain = chain_ && observer_ == nullptr;
-  const bool form_traces = use_chain && use_spec;
   Block* patch_from = nullptr;  // fully-executed predecessor awaiting a link
   int patch_slot = 0;
   while (!halt_) {
@@ -1382,30 +1361,28 @@ void Vm::RunBlockLoop(RunResult* res) {
     }
     // ---- chained steady state: control stays in this loop across links ----
     for (;;) {
-      if (form_traces) {
-        if (block->trace >= 0) {
-          if (trace_recording_) {
-            // A trace executes opaque to recording; close the pending one.
-            FinishTraceRecording(true);
-          }
-          if (!ExecTrace(*traces_[block->trace], track_sb, &fault)) {
-            halt_reason_ = HaltReason::kFault;
-            res->fault_message = fault;
-            return;
-          }
-          if (sampler_ != nullptr && instructions_ == sampler_next_) {
-            TakeSampleNow();
-          }
-          if (epoch_every_ != 0 && instructions_ == epoch_next_) {
-            epoch_hook_();
-            epoch_next_ += epoch_every_;
-          }
-          break;  // re-dispatch at the trace's exit rip
+      if (block->trace >= 0) {
+        if (trace_recording_) {
+          // A trace executes opaque to recording; close the pending one.
+          FinishTraceRecording(true);
         }
-        if (!trace_recording_ && block->trace == -1 &&
-            traces_.size() < kMaxTraces && ++block->hits >= kTraceThreshold) {
-          BeginTraceRecording(block);
+        if (!ExecTrace(*traces_[block->trace], track_sb, &fault)) {
+          halt_reason_ = HaltReason::kFault;
+          res->fault_message = fault;
+          return;
         }
+        if (sampler_ != nullptr && instructions_ == sampler_next_) {
+          TakeSampleNow();
+        }
+        if (epoch_every_ != 0 && instructions_ == epoch_next_) {
+          epoch_hook_();
+          epoch_next_ += epoch_every_;
+        }
+        break;  // re-dispatch at the trace's exit rip
+      }
+      if (!trace_recording_ && block->trace == -1 &&
+          traces_.size() < kMaxTraces && ++block->hits >= kTraceThreshold) {
+        BeginTraceRecording(block);
       }
       // Cap the dispatch count so the instruction limit and any epoch or
       // sample boundary halt at the exact same instruction as under the step
@@ -1424,38 +1401,8 @@ void Vm::RunBlockLoop(RunResult* res) {
       const size_t n =
           budget < total ? static_cast<size_t>(budget) : total;
       bool faulted = false;
-      size_t executed = 0;
-      if (use_spec) {
-        executed = ExecSpecs(block->execs.data(), total, n, &fault, &faulted);
-      } else if (observer_ == nullptr) {
-        for (size_t i = 0; i < n; ++i) {
-          ++instructions_;
-          if (!ExecuteOne(block->execs[i], &fault)) {
-            faulted = true;
-            break;
-          }
-          ++executed;
-          if (halt_) {
-            break;
-          }
-        }
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          cycles_ += observer_->OnInstruction(*this, cpu_.rip, block->execs[i].insn);
-          if (halt_) {
-            break;  // observer reported a fatal memory error (Policy::kHarden)
-          }
-          ++instructions_;
-          if (!ExecuteOne(block->execs[i], &fault)) {
-            faulted = true;
-            break;
-          }
-          ++executed;
-          if (halt_) {
-            break;
-          }
-        }
-      }
+      const size_t executed =
+          ExecSpecs(block->execs.data(), total, n, &fault, &faulted);
       if (track_sb && executed > 0) {
         // Control flow only ever terminates a block, so the executed prefix
         // is straight-line except possibly its last instruction: one length
@@ -1491,10 +1438,8 @@ void Vm::RunBlockLoop(RunResult* res) {
           FinishTraceRecording(true);  // bakes only if >= 2 segments made it
         }
       }
-      if (!full || !use_chain) {
-        if (use_chain) {
-          ++dispatch_.chain_exits;
-        }
+      if (!full) {
+        ++dispatch_.chain_exits;
         break;
       }
       const int slot = cpu_.rip == block->fall_rip ? 0 : 1;
@@ -1518,7 +1463,10 @@ void Vm::RunBlockLoop(RunResult* res) {
 RunResult Vm::Run() {
   halt_ = false;
   RunResult res;
-  if (engine_ == VmEngine::kBlock) {
+  // An observer must fire before every instruction, which only the stepper
+  // does; it charges the same cycles either way, so nothing guest-visible
+  // depends on which engine ran.
+  if (engine_ == VmEngine::kBlock && observer_ == nullptr) {
     RunBlockLoop(&res);
   } else {
     RunStepLoop(&res);

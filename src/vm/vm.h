@@ -86,17 +86,20 @@ struct CycleModel {
   uint64_t membyte_per8 = 1;  // memset/memcpy marginal cost per 8 bytes
 };
 
-// How Vm::Run dispatches guest instructions.
+// How Vm::Run dispatches guest instructions. There are two engines:
 //
 //   * kStep  — the reference interpreter: per-instruction fetch through an
 //              address-keyed decode cache (an unordered_map lookup each
-//              instruction).
-//   * kBlock — the superblock engine: straight-line decoded runs (terminated
-//              at any control transfer, hostcall or trap) stored contiguously
-//              in a direct-mapped, entry-address-keyed code cache, so the
-//              steady state executes Exec[] arrays with zero map lookups and
-//              per-block (not per-instruction) trampoline-range
-//              classification.
+//              instruction). It is the bit-identity oracle, and it also runs
+//              every observer-attached run (see set_observer), whatever
+//              engine is selected.
+//   * kBlock — the fast engine: straight-line decoded runs (terminated at
+//              any control transfer, hostcall or trap) stored contiguously in
+//              a direct-mapped, entry-address-keyed code cache, executed
+//              through specialized opcode handlers, with direct superblock
+//              chaining and hot-chain traces. The steady state makes zero map
+//              lookups and classifies trampoline ranges per block, not per
+//              instruction.
 //
 // The two engines are bit-identical by contract: instructions, cycles,
 // explicit reads/writes, telemetry counters, trace slices, mem-error reports
@@ -182,6 +185,9 @@ class Vm {
   void LoadImage(const BinaryImage& image);
 
   void set_allocator(GuestAllocator* a) { allocator_ = a; }
+  // A per-instruction observer (DBI baselines such as Memcheck, the debug
+  // tier's shadow check). While one is attached, Run uses the stepper: the
+  // fast engine's chained and specialized paths have no per-instruction hook.
   void set_observer(ExecObserver* o) { observer_ = o; }
   void set_policy(Policy p) { policy_ = p; }
   void set_inputs(std::vector<uint64_t> inputs) {
@@ -192,24 +198,6 @@ class Vm {
   void set_instruction_limit(uint64_t limit) { instruction_limit_ = limit; }
   void set_engine(VmEngine e) { engine_ = e; }
   VmEngine engine() const { return engine_; }
-
-  // --- block-engine dispatch knobs -----------------------------------------
-  // Direct superblock chaining (default on): a block's exit patches a cached
-  // successor pointer, so steady-state control transfers block -> block
-  // without a dispatcher round-trip. Guest-visible results are bit-identical
-  // with chaining on or off; observer-attached runs transparently fall back
-  // to unchained dispatch so the observer keeps firing per instruction.
-  void set_chaining(bool on) { chain_ = on; }
-  bool chaining() const { return chain_; }
-  // Specialized opcode handlers (default on): decode-time classification of
-  // the hot opcode+operand shapes into a flat Spec form executed by a tight
-  // dedicated loop instead of the generic decode-result interpreter.
-  void set_specialize(bool on) { spec_ = on; }
-  bool specialize() const { return spec_; }
-  // Code-cache capacity in superblock entries; must be a power of two.
-  // Resets the cache (decoded blocks and chain links are rebuilt on demand).
-  void set_code_cache_size(size_t entries);
-  size_t code_cache_size() const { return block_cache_size_; }
 
   // Host-side dispatch-layer statistics. These describe the engine, not the
   // guest: they are deliberately NOT part of the bit-identity contract (the
@@ -309,7 +297,7 @@ class Vm {
   // pre-indexed, rip-relative displacements folded to absolute (the anchor
   // next_rip is static per decoded instruction), direct branch targets
   // precomputed. kSGeneric routes everything else (hostcalls, traps, flag
-  // stack ops, faulting opcodes) through the reference ExecuteOne, which is
+  // stack ops, faulting opcodes) through the stepper's ExecuteOne, which is
   // also the bit-identity oracle for every specialized handler.
   enum SpecOp : uint8_t {
     kSGeneric = 0,
@@ -376,7 +364,8 @@ class Vm {
     uint32_t hits = 0;              // dispatcher entries; drives trace formation
     int32_t trace = -1;             // index into traces_ once promoted
   };
-  static constexpr size_t kBlockCacheSize = 4096;  // direct-mapped entries
+  static constexpr size_t kBlockCacheSize = 4096;  // direct-mapped; power of two
+  static_assert((kBlockCacheSize & (kBlockCacheSize - 1)) == 0);
   static constexpr size_t kMaxBlockInsns = 128;
 
   // A trace: the concatenation of a hot chain's blocks into one straight-line
@@ -468,11 +457,7 @@ class Vm {
   std::unordered_map<uint32_t, uint64_t> counters_;
   std::unordered_map<uint32_t, ProfCounts> prof_counts_;
   std::unordered_map<uint64_t, Exec> icache_;     // step engine decode cache
-  std::vector<Block> block_cache_;                // block engine, lazily sized
-  size_t block_cache_size_ = kBlockCacheSize;     // entries; power of two
-
-  bool chain_ = true;
-  bool spec_ = true;
+  std::vector<Block> block_cache_;  // fast engine; kBlockCacheSize once used
   DispatchStats dispatch_;
   std::vector<std::unique_ptr<Trace>> traces_;  // stable across growth
   // In-progress trace recording (at most one at a time).

@@ -28,14 +28,11 @@ InstrumentResult HardenedSynth() {
 }
 
 RunOutcome RunWith(const BinaryImage& image, SampleProfiler* sampler,
-                   VmEngine engine = VmEngine::kBlock, bool chain = true,
-                   bool specialize = true) {
+                   VmEngine engine = VmEngine::kBlock) {
   RunConfig cfg;
   cfg.inputs = TrainInputs(20);
   cfg.sampler = sampler;
   cfg.engine = engine;
-  cfg.chain = chain;
-  cfg.specialize = specialize;
   return RunImage(image, RuntimeKind::kRedFat, cfg);
 }
 
@@ -57,29 +54,22 @@ TEST(SampleProfiler, SamplesAreDeterministicAndEngineInvariant) {
 
 // Samples taken while execution is inside chained block sequences and baked
 // traces must attribute to the same addresses/regions as under the stepper:
-// the folded flamegraph output and synthesized per-site metrics are
-// dispatch-mode-invariant across step, plain block, and chained dispatch.
+// the folded flamegraph output and synthesized per-site metrics are the same
+// under the stepper and the fast engine.
 TEST(SampleProfiler, FoldedOutputInvariantUnderChainingAndTraces) {
   const InstrumentResult hard = HardenedSynth();
   SampleProfiler step_sampler(101);
-  SampleProfiler block_sampler(101);
   SampleProfiler chained_sampler(101);
   const RunOutcome s = RunWith(hard.image, &step_sampler, VmEngine::kStep);
-  const RunOutcome b =
-      RunWith(hard.image, &block_sampler, VmEngine::kBlock, /*chain=*/false,
-              /*specialize=*/false);
   const RunOutcome c = RunWith(hard.image, &chained_sampler, VmEngine::kBlock);
-  // The chained run actually exercised chaining (sampling doesn't force the
-  // unchained fallback the way a per-instruction observer does).
+  // The fast-engine run actually exercised chaining and traces (sampling,
+  // unlike a per-instruction observer, keeps the run on the fast engine).
   EXPECT_GT(c.dispatch.block_chains, 0u);
-  EXPECT_EQ(b.dispatch.block_chains, 0u);
+  EXPECT_GT(c.dispatch.trace_runs, 0u);
   EXPECT_EQ(s.result.cycles, c.result.cycles);
-  EXPECT_EQ(b.result.cycles, c.result.cycles);
   EXPECT_GT(chained_sampler.samples(), 0u);
   EXPECT_EQ(step_sampler.samples(), chained_sampler.samples());
-  EXPECT_EQ(block_sampler.samples(), chained_sampler.samples());
   EXPECT_EQ(step_sampler.ToFolded(), chained_sampler.ToFolded());
-  EXPECT_EQ(block_sampler.ToFolded(), chained_sampler.ToFolded());
   EXPECT_EQ(step_sampler.SynthesizeMetrics().ToJson(),
             chained_sampler.SynthesizeMetrics().ToJson());
 }

@@ -1,15 +1,13 @@
-// Differential dispatch-engine equivalence (ISSUE 5 + ISSUE 8 contract):
-// every dispatch mode of the superblock engine — plain block, specialized
-// handlers, and direct chaining with trace formation — must reproduce the
-// stepper bit-for-bit: instructions, cycles, explicit reads/writes, outputs,
+// Differential dispatch-engine equivalence: the fast engine (specialized
+// handlers, direct chaining and trace formation) must reproduce the stepper
+// bit-for-bit: instructions, cycles, explicit reads/writes, outputs,
 // mem-error reports, prof counts, telemetry snapshots and trace slices — for
 // every golden config × workload, for randomized programs, and for every
 // edge the block boundary and chaining logic has: instruction limits landing
 // mid-block / mid-chain / mid-trace, mem-error aborts at the same points,
 // hostcall/trap termination, one-instruction self-loops, direct-mapped code
 // cache collisions evicting chained-to blocks, TLB + chain invalidation
-// across LoadImage, and observer attachment forcing the transparent
-// unchained fallback.
+// across LoadImage, and observer-attached runs moving to the stepper.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +18,6 @@
 
 #include "src/core/harness.h"
 #include "src/core/redfat.h"
-#include "src/dbi/memcheck.h"
 #include "src/heap/legacy_heap.h"
 #include "src/support/rng.h"
 #include "src/support/str.h"
@@ -90,27 +87,23 @@ RunFingerprint Fingerprint(const RunOutcome& out, const std::string& metrics,
   return fp;
 }
 
-// The dispatch-mode axis: reference stepper, plain superblocks, specialized
-// handlers, and full chaining + traces (the production default). Every test
-// run through ExpectEnginesAgree is a |kModes|-way differential.
+// The engine axis: the reference stepper and the fast engine (the production
+// default). Every test run through ExpectEnginesAgree is a two-way
+// differential.
 struct EngineMode {
   const char* name;
   VmEngine engine;
-  bool chain;
-  bool specialize;
 };
 
 constexpr EngineMode kModes[] = {
-    {"step", VmEngine::kStep, false, false},
-    {"block", VmEngine::kBlock, false, false},
-    {"spec", VmEngine::kBlock, false, true},
-    {"chained", VmEngine::kBlock, true, true},
+    {"step", VmEngine::kStep},
+    {"block", VmEngine::kBlock},
 };
 constexpr size_t kNumModes = sizeof(kModes) / sizeof(kModes[0]);
 
-// Runs `img` under every dispatch mode with identical config (telemetry +
-// trace attached when `observe`) and asserts every produced artifact matches
-// the stepper's.
+// Runs `img` under both engines with identical config (telemetry + trace
+// attached when `observe`) and asserts every produced artifact matches the
+// stepper's.
 void ExpectEnginesAgree(const BinaryImage& img, RuntimeKind kind, RunConfig cfg,
                         bool observe, const std::string& what) {
   RunFingerprint ref;
@@ -119,8 +112,6 @@ void ExpectEnginesAgree(const BinaryImage& img, RuntimeKind kind, RunConfig cfg,
     TraceWriter trace;
     RunConfig c = cfg;
     c.engine = kModes[i].engine;
-    c.chain = kModes[i].chain;
-    c.specialize = kModes[i].specialize;
     if (observe) {
       c.telemetry = &telemetry;
       c.trace = &trace;
@@ -201,28 +192,6 @@ TEST(VmEngine, GoldenConfigsAgreeOnKraken) {
   }
 }
 
-// Memcheck attaches a per-instruction ExecObserver; it must fire at the same
-// points (and charge the same cycles) inside a block as under the stepper.
-TEST(VmEngine, MemcheckObserverAgrees) {
-  SynthParams p;
-  p.seed = 77;
-  p.churn_pct = 4;
-  const BinaryImage img = GenerateSynthProgram(p);
-  RunConfig base;
-  base.inputs = RefInputs(15);
-  RunFingerprint fps[2];
-  const VmEngine engines[2] = {VmEngine::kStep, VmEngine::kBlock};
-  for (int i = 0; i < 2; ++i) {
-    RunConfig c = base;
-    c.engine = engines[i];
-    fps[i] = Fingerprint(RunMemcheck(img, c), "", "");
-  }
-  EXPECT_EQ(fps[0].result, fps[1].result);
-  EXPECT_EQ(fps[0].outputs, fps[1].outputs);
-  EXPECT_EQ(fps[0].errors, fps[1].errors);
-  EXPECT_EQ(fps[0].touched_pages, fps[1].touched_pages);
-}
-
 // (b) Randomized programs from the fuzz generator: arbitrary byte soup must
 // fault/halt/limit at the identical instruction with identical state.
 TEST(VmEngine, RandomProgramsAgree) {
@@ -263,35 +232,32 @@ TEST(VmEngine, InstructionLimitMidBlock) {
   }
 }
 
-// A mem-error abort raised by the observer (memcheck) in the middle of a
-// block must stop at the same instruction with the same report.
+// A mem-error abort raised by a check in the middle of a straight-line run
+// of loads must stop at the same instruction with the same report. The
+// hardened image splits the run at each check trampoline, so the detection
+// lands mid-chain in the fast engine.
 TEST(VmEngine, MemErrorAbortMidBlock) {
   ProgramBuilder pb;
   Assembler& a = pb.text();
   a.MovRI(Reg::kRdi, 64);
   a.HostCall(HostFn::kMalloc);
   a.MovRR(Reg::kR12, Reg::kRax);
-  // Straight-line run: valid, valid, REDZONE, valid — the abort lands two
-  // instructions into a four-load block.
+  // Straight-line run: valid, valid, REDZONE, valid.
   a.Load(Reg::kR14, MemAt(Reg::kR12, 0));
   a.Load(Reg::kR14, MemAt(Reg::kR12, 8));
-  a.Load(Reg::kR14, MemAt(Reg::kR12, -8));
+  a.Load(Reg::kR14, MemAt(Reg::kR12, 72));
   a.Load(Reg::kR14, MemAt(Reg::kR12, 16));
   pb.EmitExit(0);
-  const BinaryImage img = pb.Finish();
+  Result<InstrumentResult> ir = RedFatTool(RedFatOptions{}).Instrument(pb.Finish());
+  ASSERT_TRUE(ir.ok()) << ir.error();
   for (const Policy policy : {Policy::kHarden, Policy::kLog}) {
     RunConfig cfg;
     cfg.policy = policy;
-    RunFingerprint fps[2];
-    const VmEngine engines[2] = {VmEngine::kStep, VmEngine::kBlock};
-    for (int i = 0; i < 2; ++i) {
-      RunConfig c = cfg;
-      c.engine = engines[i];
-      fps[i] = Fingerprint(RunMemcheck(img, c), "", "");
-    }
-    EXPECT_EQ(fps[0].result, fps[1].result) << "policy=" << static_cast<int>(policy);
-    EXPECT_EQ(fps[0].errors, fps[1].errors) << "policy=" << static_cast<int>(policy);
-    ASSERT_FALSE(fps[0].errors.empty());
+    const std::string what = StrFormat("policy=%d", static_cast<int>(policy));
+    ExpectEnginesAgree(ir.value().image, RuntimeKind::kRedFat, cfg, /*observe=*/true,
+                       what);
+    const RunOutcome out = RunImage(ir.value().image, RuntimeKind::kRedFat, cfg);
+    ASSERT_EQ(out.errors.size(), 1u) << what;
   }
 }
 
@@ -329,52 +295,6 @@ TEST(VmEngine, SelfBranchingOneInstructionLoop) {
   RunConfig cfg;
   cfg.instruction_limit = 12345;
   ExpectEnginesAgree(img, RuntimeKind::kBaseline, cfg, /*observe=*/false, "self-loop");
-}
-
-// Two hot blocks whose entry addresses are exactly 4096 bytes apart map to
-// the same direct-mapped slot (kBlockCacheSize = 4096, indexed by address
-// bits): every iteration evicts and rebuilds — correctness must not depend
-// on residency.
-TEST(VmEngine, CodeCacheCollisions) {
-  ProgramBuilder pb;
-  Assembler& a = pb.text();
-  auto f1 = a.NewLabel();
-  auto f2 = a.NewLabel();
-  auto main_l = a.NewLabel();
-  a.Jmp(main_l);
-  const uint64_t f1_addr = a.Here();
-  a.Bind(f1);
-  a.AddI(Reg::kR15, 1);
-  a.Ret();
-  while (a.Here() < f1_addr + 4096) {
-    a.Nop();
-  }
-  ASSERT_EQ(a.Here(), f1_addr + 4096);
-  a.Bind(f2);
-  a.AddI(Reg::kR15, 3);
-  a.Ret();
-  a.Bind(main_l);
-  a.MovRI(Reg::kR15, 0);
-  a.MovRI(Reg::kR8, 500);
-  auto loop = a.NewLabel();
-  a.Bind(loop);
-  a.Call(f1);
-  a.Call(f2);
-  a.SubI(Reg::kR8, 1);
-  a.CmpI(Reg::kR8, 0);
-  a.Jcc(Cond::kNe, loop);
-  a.MovRR(Reg::kRdi, Reg::kR15);
-  a.HostCall(HostFn::kOutputU64);
-  pb.EmitExit(0);
-  const BinaryImage img = pb.Finish();
-  RunConfig cfg;
-  ExpectEnginesAgree(img, RuntimeKind::kBaseline, cfg, /*observe=*/false, "collisions");
-  // And the computed value is right, not merely engine-consistent.
-  RunConfig block_cfg;
-  block_cfg.engine = VmEngine::kBlock;
-  const RunOutcome out = RunImage(img, RuntimeKind::kBaseline, block_cfg);
-  ASSERT_EQ(out.outputs.size(), 1u);
-  EXPECT_EQ(out.outputs[0], 2000u);
 }
 
 // LoadImage must invalidate both the block cache and the memory TLB: a
@@ -500,11 +420,12 @@ TEST(VmChaining, HotLoopFormsChainsAndTraces) {
   EXPECT_GT(out.dispatch.trace_runs, 0u);
   EXPECT_EQ(out.dispatch.trace_len.Count(), out.dispatch.traces_formed);
 
-  // And with chaining off the same run reports none of it.
-  RunConfig off = cfg;
-  off.chain = false;
-  const RunOutcome out2 = RunImage(img, RuntimeKind::kBaseline, off);
+  // And the stepper, which builds no blocks, reports none of it.
+  RunConfig step = cfg;
+  step.engine = VmEngine::kStep;
+  const RunOutcome out2 = RunImage(img, RuntimeKind::kBaseline, step);
   EXPECT_EQ(out2.outputs, out.outputs);
+  EXPECT_EQ(out2.dispatch.blocks_built, 0u);
   EXPECT_EQ(out2.dispatch.block_chains, 0u);
   EXPECT_EQ(out2.dispatch.links_patched, 0u);
   EXPECT_EQ(out2.dispatch.traces_formed, 0u);
@@ -570,10 +491,12 @@ TEST(VmChaining, MemErrorAbortMidChainAndMidTrace) {
   }
 }
 
-// Code-cache eviction under chaining: two hot call targets 4096 bytes apart
-// share a direct-mapped slot, so every iteration evicts a block the previous
-// iteration installed chain links to. Stale links must self-invalidate via
-// the entry tag — never execute the evicting block's code.
+// Two hot call targets whose entry addresses are exactly 4096 bytes apart
+// map to the same direct-mapped slot (kBlockCacheSize = 4096, indexed by
+// address bits): every iteration evicts a block the previous iteration
+// installed chain links to. Correctness must not depend on residency, and
+// stale links must self-invalidate via the entry tag — never execute the
+// evicting block's code.
 TEST(VmChaining, CollisionEvictionInvalidatesChainLinks) {
   ProgramBuilder pb;
   Assembler& a = pb.text();
@@ -607,22 +530,12 @@ TEST(VmChaining, CollisionEvictionInvalidatesChainLinks) {
   pb.EmitExit(0);
   const BinaryImage img = pb.Finish();
   ExpectEnginesAgree(img, RuntimeKind::kBaseline, RunConfig{}, /*observe=*/false,
-                     "chained collisions");
-  RunConfig cfg;  // chained defaults
-  const RunOutcome out = RunImage(img, RuntimeKind::kBaseline, cfg);
+                     "collisions");
+  // And the computed value is right, not merely engine-consistent.
+  const RunOutcome out = RunImage(img, RuntimeKind::kBaseline, RunConfig{});
   ASSERT_EQ(out.outputs.size(), 1u);
   EXPECT_EQ(out.outputs[0], 2000u);
   EXPECT_GT(out.dispatch.code_cache_evictions, 0u);
-  // Shrinking the cache to two entries makes *every* block collide; chains
-  // still never go stale-wrong.
-  RunConfig tiny = cfg;
-  tiny.code_cache_size = 2;
-  const RunOutcome out2 = RunImage(img, RuntimeKind::kBaseline, tiny);
-  ASSERT_EQ(out2.outputs.size(), 1u);
-  EXPECT_EQ(out2.outputs[0], 2000u);
-  EXPECT_EQ(out2.result.instructions, out.result.instructions);
-  EXPECT_EQ(out2.result.cycles, out.result.cycles);
-  EXPECT_GT(out2.dispatch.code_cache_evictions, out.dispatch.code_cache_evictions);
 }
 
 // LoadImage while chains and traces are live: the second image overlays the
@@ -662,10 +575,11 @@ TEST(VmChaining, LoadImageInvalidatesChainsAndTraces) {
   EXPECT_EQ(vm.outputs()[1], 11u * 200u);
 }
 
-// Attaching a per-instruction observer must transparently fall back to
-// unchained, unspecialized dispatch — same guest results, observer fired
-// once per instruction, zero chains formed even with chaining requested.
-TEST(VmChaining, ObserverForcesUnchainedFallback) {
+// Attaching a per-instruction observer moves the run to the stepper even
+// under the default engine: no block is built, the observer fires once per
+// instruction, and a zero-cycle observer leaves the run identical to an
+// unobserved one.
+TEST(VmChaining, ObserverRunsOnStepper) {
   class CountingObserver : public ExecObserver {
    public:
     uint64_t OnInstruction(Vm&, uint64_t, const Instruction&) override {
@@ -675,42 +589,21 @@ TEST(VmChaining, ObserverForcesUnchainedFallback) {
     uint64_t count = 0;
   };
   const BinaryImage img = BuildHotLoop(400);
-  uint64_t counts[2] = {0, 0};
-  RunFingerprint fps[2];
-  const VmEngine engines[2] = {VmEngine::kStep, VmEngine::kBlock};
-  for (int i = 0; i < 2; ++i) {
-    CountingObserver obs;
-    RunConfig cfg;  // chain + specialize left at production defaults
-    cfg.engine = engines[i];
-    cfg.observer = &obs;
-    const RunOutcome out = RunImage(img, RuntimeKind::kBaseline, cfg);
-    fps[i] = Fingerprint(out, "", "");
-    counts[i] = obs.count;
-    EXPECT_EQ(out.dispatch.block_chains, 0u) << "engine=" << i;
-    EXPECT_EQ(out.dispatch.traces_formed, 0u) << "engine=" << i;
-    EXPECT_EQ(obs.count, out.result.instructions) << "engine=" << i;
-  }
-  EXPECT_EQ(fps[0].result, fps[1].result);
-  EXPECT_EQ(fps[0].outputs, fps[1].outputs);
-  EXPECT_EQ(counts[0], counts[1]);
-}
-
-// The cache-size knob: rejects zero and non-powers-of-two via REDFAT_CHECK
-// (covered by rfrun's exit-2 validation at the CLI layer); accepted sizes
-// keep bit-identity — checked here across a drastic down-size.
-TEST(VmChaining, CodeCacheSizeKnobKeepsIdentity) {
-  const BinaryImage img = BuildHotLoop(300);
-  RunConfig ref_cfg;
-  ref_cfg.engine = VmEngine::kStep;
-  const RunOutcome ref = RunImage(img, RuntimeKind::kBaseline, ref_cfg);
-  for (const size_t entries : {size_t{1}, size_t{8}, size_t{131072}}) {
-    RunConfig cfg;
-    cfg.code_cache_size = entries;
-    const RunOutcome out = RunImage(img, RuntimeKind::kBaseline, cfg);
-    EXPECT_EQ(out.result.instructions, ref.result.instructions) << entries;
-    EXPECT_EQ(out.result.cycles, ref.result.cycles) << entries;
-    EXPECT_EQ(out.outputs, ref.outputs) << entries;
-  }
+  const RunOutcome plain = RunImage(img, RuntimeKind::kBaseline, RunConfig{});
+  CountingObserver obs;
+  RunConfig cfg;  // default engine
+  cfg.observer = &obs;
+  const RunOutcome out = RunImage(img, RuntimeKind::kBaseline, cfg);
+  EXPECT_EQ(out.dispatch.blocks_built, 0u);
+  EXPECT_EQ(obs.count, out.result.instructions);
+  const RunFingerprint want = Fingerprint(plain, "", "");
+  const RunFingerprint got = Fingerprint(out, "", "");
+  EXPECT_EQ(want.result, got.result);
+  EXPECT_EQ(want.outputs, got.outputs);
+  EXPECT_EQ(want.errors, got.errors);
+  EXPECT_EQ(want.prof_counts, got.prof_counts);
+  EXPECT_EQ(want.counters, got.counters);
+  EXPECT_EQ(want.touched_pages, got.touched_pages);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // sizes and straddles, call depth, memcpy overlap, decode-fuzz robustness.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "src/heap/legacy_heap.h"
 #include "src/support/rng.h"
 #include "src/vm/vm.h"
@@ -175,6 +178,65 @@ TEST(VmExec2, MemcpyBetweenHeapObjects) {
   vm.LoadImage(pb.Finish());
   vm.Run();
   EXPECT_EQ(vm.outputs().at(0), 0x4242424242424242ull);
+}
+
+// Guest memcpy is memmove: runs the kMemcpy hostcall over a seeded window
+// and compares the whole window against std::memmove on a host copy.
+void ExpectGuestMemcpyMatchesMemmove(uint64_t dst_off, uint64_t src_off, uint64_t n) {
+  constexpr uint64_t kWindow = 0x70000000;  // page-aligned guest window
+  constexpr size_t kWindowBytes = 6 * Memory::kPageSize;
+  std::vector<uint8_t> ref(kWindowBytes);
+  for (size_t i = 0; i < ref.size(); ++i) {
+    ref[i] = static_cast<uint8_t>(i * 131 + (i >> 12));  // distinct per page
+  }
+  ProgramBuilder pb;
+  Assembler& as = pb.text();
+  as.MovRI(Reg::kRdi, kWindow + dst_off);
+  as.MovRI(Reg::kRsi, kWindow + src_off);
+  as.MovRI(Reg::kRdx, n);
+  as.HostCall(HostFn::kMemcpy);
+  pb.EmitExit(0);
+  Vm vm;
+  vm.LoadImage(pb.Finish());
+  vm.memory().WriteBytes(kWindow, ref.data(), ref.size());
+  ASSERT_EQ(vm.Run().reason, HaltReason::kExit);
+  std::memmove(ref.data() + dst_off, ref.data() + src_off, n);
+  std::vector<uint8_t> got(kWindowBytes);
+  vm.memory().ReadBytes(kWindow, got.data(), got.size());
+  EXPECT_EQ(got, ref) << "dst+" << dst_off << " src+" << src_off << " n=" << n;
+}
+
+TEST(VmExec2, MemcpyOverlapForwardSpansPages) {
+  // dst below src: a forward copy reads each byte before overwriting it.
+  ExpectGuestMemcpyMatchesMemmove(1000, 3000, 3 * Memory::kPageSize + 517);
+}
+
+TEST(VmExec2, MemcpyOverlapBackwardSpansPages) {
+  // dst inside (src, src + n): only a top-down copy keeps the source intact.
+  ExpectGuestMemcpyMatchesMemmove(3000, 1000, 3 * Memory::kPageSize + 517);
+  ExpectGuestMemcpyMatchesMemmove(1001, 1000, 4 * Memory::kPageSize);
+}
+
+TEST(VmExec2, MemcpyFromUntouchedSourceMaterializesOnlyDestination) {
+  Memory mem;
+  const uint64_t dst = 0x50000000 + 100;
+  const uint64_t src = 0x60000000 + 300;
+  const size_t n = 2 * Memory::kPageSize + 50;  // spans 3 destination pages
+  std::vector<uint8_t> ref(n, 0xab);
+  mem.WriteBytes(dst, ref.data(), n);
+  ASSERT_EQ(mem.TouchedPages(), 3u);
+  mem.Copy(dst, src, n);
+  // The source stays absent, and reads as zeros.
+  EXPECT_EQ(mem.TouchedPages(), 3u);
+  const std::vector<uint8_t> untouched(n, 0);
+  std::memmove(ref.data(), untouched.data(), n);
+  std::vector<uint8_t> got(n, 0xff);
+  mem.ReadBytes(dst, got.data(), n);
+  EXPECT_EQ(got, ref);
+  // Onto fresh memory: exactly the destination's pages appear.
+  Memory fresh;
+  fresh.Copy(dst, src, n);
+  EXPECT_EQ(fresh.TouchedPages(), 3u);
 }
 
 TEST(VmExec2, IndirectJumpTable) {
