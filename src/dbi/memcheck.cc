@@ -1,7 +1,5 @@
 #include "src/dbi/memcheck.h"
 
-#include "src/support/check.h"
-
 namespace redfat {
 
 AllocOutcome Memcheck::Malloc(Memory& mem, uint64_t size) {
@@ -22,7 +20,16 @@ FreeOutcome Memcheck::Free(Memory& mem, uint64_t ptr) {
     return FreeOutcome{heapcost::kLegacyFree};
   }
   auto it = sizes_.find(ptr);
-  REDFAT_CHECK(it != sizes_.end());
+  if (it == sizes_.end()) {
+    // Memcheck reports an invalid free and leaves the heap untouched; a
+    // pointer whose payload is still marked freed is a double free.
+    FreeOutcome out{heapcost::kLegacyFree + costs_.alloc_extra};
+    out.corrupted = true;
+    out.corrupt_kind = shadow_.Query(ptr) == ShadowState::kFree ? ErrorKind::kDoubleFree
+                                                                : ErrorKind::kFreelistCorruption;
+    out.corrupt_addr = ptr;
+    return out;
+  }
   shadow_.Mark(ptr, it->second, ShadowState::kFree);
   sizes_.erase(it);
   quarantine_.push_back(ptr);

@@ -1,7 +1,6 @@
 #include "src/heap/legacy_heap.h"
 
 #include "src/support/bits.h"
-#include "src/support/check.h"
 
 namespace redfat {
 
@@ -26,20 +25,22 @@ uint64_t LegacyHeap::Alloc(Memory& mem, uint64_t size) {
   return payload;
 }
 
-void LegacyHeap::Free(uint64_t ptr) {
+bool LegacyHeap::Free(uint64_t ptr) {
   auto it = live_.find(ptr);
-  REDFAT_CHECK(it != live_.end());
+  if (it == live_.end()) {
+    return false;
+  }
   const uint64_t chunk_size = it->second;
   const uint64_t chunk = ptr - 16 - padding_;
   live_.erase(it);
   free_lists_[chunk_size].push_back(chunk);
+  return true;
 }
 
 uint64_t LegacyHeap::SizeOf(Memory& mem, uint64_t ptr) const {
   auto it = live_.find(ptr);
-  REDFAT_CHECK(it != live_.end());
   (void)mem;
-  return it->second - 16 - 2 * padding_;
+  return it == live_.end() ? 0 : it->second - 16 - 2 * padding_;
 }
 
 }  // namespace redfat

@@ -31,9 +31,10 @@ class LegacyHeap {
 
   // Returns the payload pointer, or 0 on exhaustion.
   uint64_t Alloc(Memory& mem, uint64_t size);
-  // `ptr` must be a payload pointer returned by Alloc.
-  void Free(uint64_t ptr);
-  // Payload size recorded at allocation; CHECK-fails for unknown pointers.
+  // Frees a live payload pointer returned by Alloc; false (and nothing
+  // freed) for any other pointer.
+  bool Free(uint64_t ptr);
+  // Payload size recorded at allocation; 0 for pointers that are not live.
   uint64_t SizeOf(Memory& mem, uint64_t ptr) const;
   // Was this pointer handed out (and not yet freed)?
   bool IsLive(uint64_t ptr) const { return live_.count(ptr) != 0; }
@@ -56,10 +57,9 @@ class GlibcLikeAllocator : public GuestAllocator {
   }
   FreeOutcome Free(Memory& mem, uint64_t ptr) override {
     (void)mem;
-    if (ptr != 0) {
-      heap_.Free(ptr);
-    }
-    return FreeOutcome{heapcost::kLegacyFree};
+    FreeOutcome out{heapcost::kLegacyFree};
+    out.invalid = ptr != 0 && !heap_.Free(ptr);
+    return out;
   }
   const char* name() const override { return "glibc-like"; }
 

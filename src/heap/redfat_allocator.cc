@@ -81,9 +81,15 @@ FreeOutcome RedFatAllocator::Free(Memory& mem, uint64_t ptr) {
     }
     return out;
   }
-  mem.WriteU64(slot, 0);
-  legacy_.Free(slot);
   out.cycles = heapcost::kFreePush + heapcost::kRedzoneMeta;
+  if (!legacy_.Free(slot)) {
+    // Neither a low-fat slot nor a live non-fat object: an invalid free.
+    out.corrupted = true;
+    out.corrupt_kind = ErrorKind::kFreelistCorruption;
+    out.corrupt_addr = ptr;
+    return out;
+  }
+  mem.WriteU64(slot, 0);
   return out;
 }
 

@@ -1,7 +1,5 @@
 #include "src/heap/shadow_allocator.h"
 
-#include "src/support/check.h"
-
 namespace redfat {
 
 void ShadowRedFatAllocator::MarkShadow(Memory& mem, uint64_t addr, uint64_t size,
@@ -47,7 +45,13 @@ FreeOutcome ShadowRedFatAllocator::Free(Memory& mem, uint64_t ptr) {
     return FreeOutcome{heapcost::kFreePush};
   }
   auto it = sizes_.find(ptr);
-  REDFAT_CHECK(it != sizes_.end());
+  if (it == sizes_.end()) {
+    FreeOutcome out{heapcost::kFreePush};  // invalid free: never handed out
+    out.corrupted = true;
+    out.corrupt_kind = ErrorKind::kFreelistCorruption;
+    out.corrupt_addr = ptr;
+    return out;
+  }
   const uint64_t size = it->second;
   sizes_.erase(it);
   MarkShadow(mem, ptr, size, GuestShadow::kFreed);

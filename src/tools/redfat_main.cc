@@ -357,11 +357,28 @@ int Main(int argc, char** argv) {
   bool time_passes = false;
   bool verbose = false;
   std::vector<std::string> positional;
+  const std::pair<const char*, std::string*> path_flags[] = {
+      {"--profile-sitemap", &profile_sitemap_path},
+      {"--stats", &stats_path},
+      {"--metrics", &metrics_path},
+      {"--trace", &trace_path},
+      {"--connect", &connect_path},
+      {"--output-dir", &output_dir},
+      {"--allowlist", &allow_path},
+      {"--profile-data", &profile_data_path},
+      {"--sitemap", &sitemap_path},
+  };
+  std::string value;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    // --profile=FILE (tiering input) first: bare --profile is Fig. 5's
-    // profiling-instrumentation mode, a different feature entirely.
-    if (arg.rfind("--profile=", 0) == 0) {
+    if (std::string* path = MatchFlags(argc, argv, &i, path_flags, &value)) {
+      if (value.empty()) {
+        return Usage();
+      }
+      *path = value;
+    } else if (arg.rfind("--profile=", 0) == 0) {
+      // --profile=FILE (tiering input); bare --profile is Fig. 5's
+      // profiling-instrumentation mode, a different feature entirely.
       tier_profile_path = arg.substr(10);
     } else if (arg == "--profile") {
       mode = RedFatOptions::Mode::kProfile;
@@ -380,19 +397,12 @@ int Main(int argc, char** argv) {
         return 2;
       }
       policy.rheap = opts_r.value();
-    } else if (arg == "--profile-sitemap" && i + 1 < argc) {
-      profile_sitemap_path = argv[++i];
-    } else if (arg.rfind("--profile-sitemap=", 0) == 0) {
-      profile_sitemap_path = arg.substr(18);
-    } else if (arg.rfind("--hot-threshold=", 0) == 0) {
-      char* end = nullptr;
-      const double f = std::strtod(arg.c_str() + 16, &end);
-      if (end == arg.c_str() + 16 || *end != '\0' || f < 0.0 || f > 1.0) {
+    } else if (MatchFlag(argc, argv, &i, "--hot-threshold", &value)) {
+      double f = 0;
+      if (!ParseNumber(value, &f) || !(f >= 0.0 && f <= 1.0)) {
         return Usage();
       }
       policy.hot_threshold = f;
-    } else if (arg == "--hot-threshold" && i + 1 < argc) {
-      policy.hot_threshold = std::strtod(argv[++i], nullptr);
     } else if (arg == "--merge-metrics") {
       merge_metrics = true;
     } else if (arg == "--no-reads") {
@@ -409,45 +419,16 @@ int Main(int argc, char** argv) {
       policy.merge = false;
     } else if (arg == "--shadow") {
       policy.shadow_impl = true;
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(arg.c_str() + 7, &end, 10);
-      if (end == arg.c_str() + 7 || *end != '\0') {
-        return Usage();  // empty or non-numeric value
+    } else if (MatchFlag(argc, argv, &i, "--jobs", &value)) {
+      if (!ParseNumber(value, &jobs)) {
+        return Usage();
       }
-      jobs = static_cast<unsigned>(n);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--time-passes") {
       time_passes = true;
-    } else if (arg == "--stats" && i + 1 < argc) {
-      stats_path = argv[++i];
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (arg.rfind("--metrics=", 0) == 0) {
-      metrics_path = arg.substr(10);
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      trace_path = arg.substr(8);
-    } else if (arg.rfind("--connect=", 0) == 0) {
-      connect_path = arg.substr(10);
-    } else if (arg == "--connect" && i + 1 < argc) {
-      connect_path = argv[++i];
     } else if (arg == "--print-cache-key") {
       print_cache_key = true;
-    } else if (arg == "--output-dir" && i + 1 < argc) {
-      output_dir = argv[++i];
-    } else if (arg.rfind("--output-dir=", 0) == 0) {
-      output_dir = arg.substr(13);
     } else if (arg == "-v") {
       verbose = true;
-    } else if (arg == "--allowlist" && i + 1 < argc) {
-      allow_path = argv[++i];
-    } else if (arg == "--profile-data" && i + 1 < argc) {
-      profile_data_path = argv[++i];
-    } else if (arg == "--sitemap" && i + 1 < argc) {
-      sitemap_path = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
       return Usage();
     } else {

@@ -20,11 +20,10 @@
 //   --stats-on-exit     print the final stats JSON to stdout after the
 //                       shutdown request drains
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "src/serve/daemon.h"
+#include "src/tools/tool_io.h"
 
 namespace redfat {
 namespace {
@@ -37,49 +36,32 @@ int Usage() {
 }
 
 // Parses "N", "Nk", "NM", "NG" (case-insensitive) into bytes.
-bool ParseByteSize(const std::string& text, uint64_t* out) {
-  if (text.empty()) {
+bool ParseByteSize(std::string text, uint64_t* out) {
+  const size_t unit = text.empty() ? std::string::npos : std::string("kKmMgG").find(text.back());
+  const unsigned shift = unit == std::string::npos ? 0 : 10 * static_cast<unsigned>(unit / 2 + 1);
+  text.resize(text.size() - (unit == std::string::npos ? 0 : 1));
+  uint64_t n = 0;
+  if (!ParseNumber(text, &n) || n > (~uint64_t{0} >> shift)) {
     return false;
   }
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str()) {
-    return false;
-  }
-  uint64_t mult = 1;
-  if (*end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': mult = 1ull << 10; break;
-      case 'm': case 'M': mult = 1ull << 20; break;
-      case 'g': case 'G': mult = 1ull << 30; break;
-      default: return false;
-    }
-    if (end[1] != '\0') {
-      return false;
-    }
-  }
-  *out = n * mult;
+  *out = n << shift;
   return true;
 }
 
 int Main(int argc, char** argv) {
   Daemon::Config config;
   bool stats_on_exit = false;
+  std::string value;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--socket=", 0) == 0) {
-      config.socket_path = arg.substr(9);
-    } else if (arg == "--socket" && i + 1 < argc) {
-      config.socket_path = argv[++i];
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(arg.c_str() + 7, &end, 10);
-      if (end == arg.c_str() + 7 || *end != '\0') {
+    if (MatchFlag(argc, argv, &i, "--socket", &value)) {
+      config.socket_path = value;
+    } else if (MatchFlag(argc, argv, &i, "--jobs", &value)) {
+      if (!ParseNumber(value, &config.service.jobs)) {
         return Usage();
       }
-      config.service.jobs = static_cast<unsigned>(n);
-    } else if (arg.rfind("--cache-bytes=", 0) == 0) {
-      if (!ParseByteSize(arg.substr(14), &config.service.cache_bytes)) {
+    } else if (MatchFlag(argc, argv, &i, "--cache-bytes", &value)) {
+      if (!ParseByteSize(value, &config.service.cache_bytes)) {
         return Usage();
       }
     } else if (arg == "--stats-on-exit") {

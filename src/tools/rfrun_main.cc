@@ -76,11 +76,13 @@
 //                          the structured reports as JSON to FILE
 //
 // Guest outputs are printed one per line. Exit status: the guest's exit
-// code; 134 if the run aborted on a detected memory error (like SIGABRT).
+// code; 134 if the run aborted on a detected memory error (like SIGABRT);
+// 139 if the guest faulted, e.g. freed an invalid pointer under the baseline.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/forensics_report.h"
@@ -172,9 +174,35 @@ int Main(int argc, char** argv) {
   bool report = false;
   std::vector<LibSpec> libs;
   std::vector<std::string> positional;
+  const std::pair<const char*, uint64_t*> numeric_flags[] = {
+      {"--seed", &cfg.rng_seed},
+      {"--limit", &cfg.instruction_limit},
+      {"--metrics-epoch", &cfg.metrics_epoch},
+      {"--sample-period", &sample_period},
+  };
+  const std::pair<const char*, std::string*> path_flags[] = {
+      {"--profile-dump", &profile_dump},
+      {"--sitemap", &sitemap_path},
+      {"--metrics", &metrics_path},
+      {"--trace", &trace_path},
+      {"--pipeline-stats", &pipeline_stats_path},
+      {"--profile-folded", &profile_folded_path},
+      {"--profile-metrics", &profile_metrics_path},
+      {"--error-report", &error_report_path},
+  };
+  std::string value;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--runtime=", 0) == 0) {
+    if (uint64_t* number = MatchFlags(argc, argv, &i, numeric_flags, &value)) {
+      if (!ParseNumber(value, number)) {
+        return Usage();
+      }
+    } else if (std::string* path = MatchFlags(argc, argv, &i, path_flags, &value)) {
+      if (value.empty()) {
+        return Usage();
+      }
+      *path = value;
+    } else if (arg.rfind("--runtime=", 0) == 0) {
       runtime = arg.substr(10);
       runtime_given = true;
     } else if (arg.rfind("--harden=", 0) == 0) {
@@ -194,24 +222,8 @@ int Main(int argc, char** argv) {
       rheap_flag = opts.value();
     } else if (arg.rfind("--policy=", 0) == 0) {
       policy = arg.substr(9);
-    } else if (arg == "--profile-dump" && i + 1 < argc) {
-      profile_dump = argv[++i];
-    } else if (arg == "--sitemap" && i + 1 < argc) {
-      sitemap_path = argv[++i];
-    } else if (arg == "--seed" && i + 1 < argc) {
-      cfg.rng_seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--limit" && i + 1 < argc) {
-      cfg.instruction_limit = std::strtoull(argv[++i], nullptr, 0);
     } else if (arg == "--stats") {
       stats = true;
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (arg.rfind("--metrics=", 0) == 0) {
-      metrics_path = arg.substr(10);
-    } else if (arg.rfind("--metrics-epoch=", 0) == 0) {
-      cfg.metrics_epoch = std::strtoull(arg.substr(16).c_str(), nullptr, 0);
-    } else if (arg == "--metrics-epoch" && i + 1 < argc) {
-      cfg.metrics_epoch = std::strtoull(argv[++i], nullptr, 0);
     } else if (arg.rfind("--engine=", 0) == 0) {
       const std::string engine = arg.substr(9);
       if (engine == "step") {
@@ -221,34 +233,10 @@ int Main(int argc, char** argv) {
       } else {
         return Usage();
       }
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      trace_path = arg.substr(8);
     } else if (arg == "--report") {
       report = true;
-    } else if (arg == "--pipeline-stats" && i + 1 < argc) {
-      pipeline_stats_path = argv[++i];
-    } else if (arg == "--lib" && i + 1 < argc) {
-      libs.push_back(ParseLibSpec(argv[++i]));
-    } else if (arg.rfind("--lib=", 0) == 0) {
-      libs.push_back(ParseLibSpec(arg.substr(6)));
-    } else if (arg.rfind("--sample-period=", 0) == 0) {
-      sample_period = std::strtoull(arg.substr(16).c_str(), nullptr, 0);
-    } else if (arg == "--sample-period" && i + 1 < argc) {
-      sample_period = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--profile-folded" && i + 1 < argc) {
-      profile_folded_path = argv[++i];
-    } else if (arg.rfind("--profile-folded=", 0) == 0) {
-      profile_folded_path = arg.substr(17);
-    } else if (arg == "--profile-metrics" && i + 1 < argc) {
-      profile_metrics_path = argv[++i];
-    } else if (arg.rfind("--profile-metrics=", 0) == 0) {
-      profile_metrics_path = arg.substr(18);
-    } else if (arg == "--error-report" && i + 1 < argc) {
-      error_report_path = argv[++i];
-    } else if (arg.rfind("--error-report=", 0) == 0) {
-      error_report_path = arg.substr(15);
+    } else if (MatchFlag(argc, argv, &i, "--lib", &value) && !value.empty()) {
+      libs.push_back(ParseLibSpec(value));
     } else if (!arg.empty() && arg[0] == '-') {
       return Usage();
     } else {

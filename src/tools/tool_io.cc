@@ -6,6 +6,20 @@
 
 namespace redfat {
 
+bool MatchFlag(int argc, char** argv, int* i, std::string_view name, std::string* value) {
+  const std::string_view arg = argv[*i];
+  if (arg.size() > name.size() && arg.substr(0, name.size()) == name &&
+      arg[name.size()] == '=') {
+    *value = arg.substr(name.size() + 1);
+    return true;
+  }
+  if (arg != name) {
+    return false;
+  }
+  *value = *i + 1 < argc ? argv[++*i] : "";
+  return true;
+}
+
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {

@@ -2,8 +2,12 @@
 #ifndef REDFAT_SRC_TOOLS_TOOL_IO_H_
 #define REDFAT_SRC_TOOLS_TOOL_IO_H_
 
+#include <charconv>
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/bin/image.h"
@@ -23,6 +27,40 @@ Result<std::vector<std::string>> ReadLines(const std::string& path);
 
 // Writes `text` to `path`; the conventional "-" writes to stdout instead.
 Status WriteTextFile(const std::string& path, const std::string& text);
+
+// True when argv[*i] is option `name` spelled `name=V` or `name V`; the
+// second spelling consumes the next argument. *value is empty if V is
+// missing.
+bool MatchFlag(int argc, char** argv, int* i, std::string_view name, std::string* value);
+
+// The destination of whichever of `flags` argv[*i] spells, or nullptr.
+template <typename T, size_t N>
+T* MatchFlags(int argc, char** argv, int* i, const std::pair<const char*, T*> (&flags)[N],
+              std::string* value) {
+  for (const auto& [name, dst] : flags) {
+    if (MatchFlag(argc, argv, i, name, value)) {
+      return dst;
+    }
+  }
+  return nullptr;
+}
+
+// Reads all of `text` as a number of *out's type: an unsigned decimal or
+// 0x-hex integer that fits, or a decimal floating-point value. A sign,
+// stray characters or overflow leave *out alone and return false.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  std::from_chars_result r{};
+  if constexpr (std::is_floating_point_v<T>) {
+    r = std::from_chars(text.data(), text.data() + text.size(), *out);
+  } else {
+    static_assert(std::is_unsigned_v<T>);
+    const bool hex = text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X');
+    text.remove_prefix(hex ? 2 : 0);
+    r = std::from_chars(text.data(), text.data() + text.size(), *out, hex ? 16 : 10);
+  }
+  return r.ec == std::errc() && r.ptr == text.data() + text.size();
+}
 
 }  // namespace redfat
 

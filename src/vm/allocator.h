@@ -32,6 +32,9 @@ struct FreeOutcome {
   bool corrupted = false;  // invalid/overlapping free or tampered chain
   ErrorKind corrupt_kind = ErrorKind::kFreelistCorruption;
   uint64_t corrupt_addr = 0;
+  // The pointer was never handed out (or is already free) and the allocator
+  // has no diagnosis for it: the guest faults, as glibc aborts on it.
+  bool invalid = false;
 };
 
 // Result of pre-checking a guest memcpy/memset range against allocator

@@ -477,6 +477,10 @@ bool Vm::DoHostCall(HostFn fn, std::string* fault) {
       }
       const FreeOutcome fout = allocator_->Free(memory_, a0);
       cycles_ += fout.cycles;
+      if (fout.invalid) {
+        *fault = StrFormat("free of invalid pointer 0x%llx", static_cast<unsigned long long>(a0));
+        return false;
+      }
       if (fout.corrupted) {
         ReportMemError(0, fout.corrupt_kind, fout.corrupt_addr);
       }

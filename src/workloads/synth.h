@@ -116,7 +116,7 @@ BinaryImage GenerateServerProgram(const ServerParams& params);
 //   mode 1  use-after-free: one store through the stale pointer;
 //   mode 2  double free: frees the victim a second time (diagnosed and
 //           skipped by the VM when a forensic ring is attached; without one
-//           the allocator treats it as a fatal host error).
+//           memcheck reports it and the glibc-like baseline faults).
 // The checksum is computed before the bug fires and never depends on
 // pointer values, so mode 0 and mode 1 under Policy::kLog produce identical
 // output across runtimes.

@@ -452,6 +452,41 @@ TEST(ChurnWorkload, OverlappingFreeRunDetected) {
   EXPECT_EQ(out.errors[0].kind, ErrorKind::kFreelistCorruption);
 }
 
+TEST(ChurnWorkload, OverlappingFreeFaultsTheBaselineGuest) {
+  // The glibc-like baseline has no diagnosis for an interior free: the guest
+  // faults (exit 139 in rfrun), never a host abort that reads as a detection.
+  ChurnParams p;
+  p.seed = 11;
+  RunConfig cfg;
+  cfg.inputs = {2000, 2};
+  const RunOutcome out = RunImage(GenerateChurnProgram(p), RuntimeKind::kBaseline, cfg);
+  EXPECT_EQ(out.result.reason, HaltReason::kFault);
+  EXPECT_NE(out.result.fault_message.find("free of invalid pointer"), std::string::npos)
+      << out.result.fault_message;
+  EXPECT_TRUE(out.errors.empty());
+}
+
+TEST(LegacyHeapStress, UnknownPointersAreRefusedNotFatal) {
+  Memory mem;
+  LegacyHeap heap;
+  const uint64_t a = heap.Alloc(mem, 48);
+  EXPECT_FALSE(heap.Free(a + 8));  // interior
+  EXPECT_EQ(heap.SizeOf(mem, a + 8), 0u);
+  EXPECT_TRUE(heap.Free(a));
+  EXPECT_FALSE(heap.Free(a));  // double
+  EXPECT_EQ(heap.SizeOf(mem, a), 0u);
+}
+
+TEST(ShadowAllocatorStress, InvalidFreeDiagnosed) {
+  Memory mem;
+  ShadowRedFatAllocator alloc;
+  const uint64_t p = alloc.Malloc(mem, 40).ptr;
+  const FreeOutcome out = alloc.Free(mem, p + 8);
+  EXPECT_TRUE(out.corrupted);
+  EXPECT_EQ(out.corrupt_kind, ErrorKind::kFreelistCorruption);
+  EXPECT_EQ(out.corrupt_addr, p + 8);
+}
+
 TEST(ShadowAllocatorStress, ShadowConsistentWithLiveSet) {
   Memory mem;
   ShadowRedFatAllocator alloc;

@@ -116,6 +116,49 @@ cmp base_out.txt fast_out.txt || fail "fast-tier output differs from baseline"
 "$TOOLS/rfrun" --harden=fast --runtime=redfat mcf.fast.rfbin 5 0x3f 2> /dev/null \
     && fail "rfrun --harden/--runtime conflict not rejected"
 
+# Numeric option values are checked the same way in both spellings: a bad
+# value exits 2 (usage), a good one is accepted.
+expect_status() {
+  want=$1
+  shift
+  set +e
+  "$@" > /dev/null 2>&1
+  got=$?
+  set -e
+  [ "$got" -eq "$want" ] || fail "exit $got (want $want): $*"
+}
+for bad in "--hot-threshold 5" "--hot-threshold=5" "--hot-threshold=nan" \
+    "--jobs foo" "--jobs=foo" "--jobs=-1" "--jobs"; do
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  expect_status 2 "$TOOLS/redfat" $bad mcf.rfbin /dev/null
+done
+for good in "--hot-threshold 0.5" "--hot-threshold=0.5" "--jobs 2" "--jobs=2"; do
+  # shellcheck disable=SC2086
+  expect_status 0 "$TOOLS/redfat" $good mcf.rfbin /dev/null
+done
+for bad in "--limit 10x" "--limit=10x" "--seed abc" "--seed=abc" \
+    "--metrics-epoch=x" "--metrics-epoch -1" "--sample-period=1.5" \
+    "--sample-period 0x" "--seed"; do
+  # shellcheck disable=SC2086
+  expect_status 2 "$TOOLS/rfrun" $bad mcf.rfbin 5 0x3f
+done
+for good in "--limit 100000000" "--limit=100000000" "--seed 0x10" "--seed=7" \
+    "--sample-period 97" "--sample-period=97"; do
+  # shellcheck disable=SC2086
+  expect_status 0 "$TOOLS/rfrun" $good mcf.rfbin 5 0x3f
+done
+
+# An invalid free (churn mode 2 frees an interior pointer) is a guest fault
+# under the glibc-like baseline (139) and a reported detection under
+# memcheck (134 with a MEMORY ERROR line), never a host abort.
+"$TOOLS/rfgen" churn 1 churn.rfbin 2> /dev/null
+expect_status 139 "$TOOLS/rfrun" --runtime=baseline churn.rfbin 2000 2
+expect_status 134 "$TOOLS/rfrun" --runtime=memcheck churn.rfbin 2000 2
+"$TOOLS/rfrun" --runtime=memcheck --policy=log churn.rfbin 2000 2 \
+    > /dev/null 2> churn_mc.txt || fail "memcheck log-policy churn run"
+grep -q "MEMORY ERROR: freelist corruption" churn_mc.txt \
+    || fail "memcheck did not report the invalid free"
+
 # The fast tier drops sites that only rate a (Redzone)-only check: with a
 # truncated allow-list profile, unobserved sites demote to redzone-only and
 # fast leaves them bare.

@@ -2,6 +2,7 @@
 
 #include "src/dbi/memcheck.h"
 #include "src/workloads/builder.h"
+#include "src/workloads/synth.h"
 
 namespace redfat {
 namespace {
@@ -38,6 +39,29 @@ TEST(Memcheck, DetectsRedzoneHit) {
   EXPECT_EQ(out.result.reason, HaltReason::kExit);
   ASSERT_EQ(out.errors.size(), 1u);
   EXPECT_EQ(out.errors[0].kind, ErrorKind::kBounds);
+}
+
+TEST(Memcheck, InvalidAndDoubleFreesAreReportedNotFatal) {
+  Memory mem;
+  Memcheck mc;
+  const uint64_t p = mc.Malloc(mem, 40).ptr;
+  FreeOutcome out = mc.Free(mem, p + 8);
+  EXPECT_TRUE(out.corrupted);
+  EXPECT_EQ(out.corrupt_kind, ErrorKind::kFreelistCorruption);
+  EXPECT_EQ(out.corrupt_addr, p + 8);
+  EXPECT_FALSE(mc.Free(mem, p).corrupted);
+  out = mc.Free(mem, p);
+  EXPECT_TRUE(out.corrupted);
+  EXPECT_EQ(out.corrupt_kind, ErrorKind::kDoubleFree);
+}
+
+TEST(Memcheck, ChurnOverlappingFreeIsADetection) {
+  RunConfig cfg;
+  cfg.inputs = {2000, 2};  // bug tail: free an interior pointer
+  const RunOutcome out = RunMemcheck(GenerateChurnProgram(ChurnParams{}), cfg);
+  EXPECT_EQ(out.result.reason, HaltReason::kMemErrorAbort);
+  ASSERT_EQ(out.errors.size(), 1u);
+  EXPECT_EQ(out.errors[0].kind, ErrorKind::kFreelistCorruption);
 }
 
 TEST(Memcheck, MissesRedzoneSkippingOverflow) {
