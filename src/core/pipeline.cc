@@ -95,7 +95,7 @@ Status AnalysisCache::EnsureDisasm() {
   if (disasm_.has_value()) {
     return Status::Ok();
   }
-  Result<Disassembly> dis = DisassembleText(image_, pool_);
+  Result<Disassembly> dis = DisassembleText(image_);
   if (!dis.ok()) {
     return Error(dis.error());
   }
@@ -116,7 +116,7 @@ Status AnalysisCache::EnsureCfg() {
   if (!st.ok()) {
     return st;
   }
-  cfg_ = RecoverCfg(*disasm_, image_, pool_);
+  cfg_ = RecoverCfg(*disasm_, image_);
   return Status::Ok();
 }
 
@@ -149,8 +149,8 @@ const ClobberInfo& AnalysisCache::clobbers(size_t insn_index) {
   return *clobbers_[insn_index];
 }
 
-void AnalysisCache::PrecomputeClobbers(const std::vector<size_t>& indices, unsigned jobs) {
-  REDFAT_CHECK(disasm_.has_value() && cfg_.has_value());
+void AnalysisCache::PrecomputeClobbers(const std::vector<size_t>& indices) {
+  REDFAT_CHECK(disasm_.has_value() && cfg_.has_value() && pool_ != nullptr);
   if (clobbers_.empty()) {
     clobbers_.resize(disasm_->insns.size());
   }
@@ -165,9 +165,7 @@ void AnalysisCache::PrecomputeClobbers(const std::vector<size_t>& indices, unsig
   if (missing.empty()) {
     return;
   }
-  std::vector<ClobberInfo> infos =
-      pool_ != nullptr ? ComputeClobbersMany(*disasm_, *cfg_, missing, pool_)
-                       : ComputeClobbersMany(*disasm_, *cfg_, missing, jobs);
+  std::vector<ClobberInfo> infos = ComputeClobbersMany(*disasm_, *cfg_, missing, *pool_);
   for (size_t i = 0; i < missing.size(); ++i) {
     clobbers_[missing[i]] = std::move(infos[i]);
   }
@@ -213,7 +211,7 @@ class ClassifyPass : public Pass {
       return Error("classify: disasm pass has not run");
     }
     std::vector<OperandClass> classes =
-        ClassifyOperands(ctx.cache.disasm(), ctx.opts, &ctx.plan.stats, ctx.pool);
+        ClassifyOperands(ctx.cache.disasm(), ctx.opts, &ctx.plan.stats);
     const size_t considered = ctx.plan.stats.considered;
     ctx.cache.set_operand_classes(std::move(classes));
     return PassOutcome{.items = ctx.cache.disasm().insns.size(), .changed = considered};
@@ -233,39 +231,13 @@ class EliminatePass : public Pass {
     }
     ctx.drop_eliminable = true;
     PassOutcome out;
-    const size_t n = classes->size();
-    if (ctx.pool != nullptr && ctx.pool->jobs() > 1 && n >= 1024) {
-      // Range reduction: per-range partial counts summed in range order.
-      const size_t ranges = std::min<size_t>(ctx.pool->jobs() * 4, n);
-      std::vector<size_t> items(ranges, 0);
-      std::vector<size_t> changed(ranges, 0);
-      ctx.pool->ParallelFor(ranges, [&](size_t r) {
-        const size_t begin = r * n / ranges;
-        const size_t end = (r + 1) * n / ranges;
-        for (size_t i = begin; i < end; ++i) {
-          const OperandClass c = (*classes)[i];
-          if (c == OperandClass::kFiltered || c == OperandClass::kNone) {
-            continue;
-          }
-          ++items[r];
-          if (c == OperandClass::kEliminable) {
-            ++changed[r];
-          }
-        }
-      });
-      for (size_t r = 0; r < ranges; ++r) {
-        out.items += items[r];
-        out.changed += changed[r];
+    for (OperandClass c : *classes) {
+      if (c == OperandClass::kFiltered || c == OperandClass::kNone) {
+        continue;
       }
-    } else {
-      for (OperandClass c : *classes) {
-        if (c == OperandClass::kFiltered || c == OperandClass::kNone) {
-          continue;
-        }
-        ++out.items;
-        if (c == OperandClass::kEliminable) {
-          ++out.changed;
-        }
+      ++out.items;
+      if (c == OperandClass::kEliminable) {
+        ++out.changed;
       }
     }
     // An eliminated site saves its whole trampoline on every visit.
@@ -284,10 +256,9 @@ class GroupPass : public Pass {
     }
     std::vector<SiteCandidate> candidates =
         SelectSites(ctx.cache.disasm(), *classes, ctx.opts, ctx.allow, ctx.drop_eliminable,
-                    &ctx.plan.stats, &ctx.plan.sites, ctx.pool);
+                    &ctx.plan.stats, &ctx.plan.sites);
     const size_t n = candidates.size();
-    ctx.plan.trampolines =
-        SingletonTrampolines(ctx.cache.disasm(), std::move(candidates), ctx.pool);
+    ctx.plan.trampolines = SingletonTrampolines(ctx.cache.disasm(), std::move(candidates));
     return PassOutcome{.items = n, .changed = ctx.plan.trampolines.size()};
   }
 };
@@ -328,7 +299,7 @@ class BatchPass : public Pass {
     }
     const size_t before = ctx.plan.trampolines.size();
     ctx.plan.trampolines = BatchTrampolines(ctx.cache.disasm(), ctx.cache.cfg(),
-                                            std::move(ctx.plan.trampolines), ctx.pool);
+                                            std::move(ctx.plan.trampolines));
     const size_t removed = before - ctx.plan.trampolines.size();
     // Each coalesced site drops one trampoline round-trip per visit.
     return PassOutcome{.items = before,
@@ -347,13 +318,7 @@ class MergePass : public Pass {
       before += t.checks.size();
     }
     // Merging is independent per trampoline; run it across the pool.
-    if (ctx.pool != nullptr) {
-      ctx.pool->ParallelFor(tramps.size(),
-                            [&](size_t i) { MergeTrampolineChecks(&tramps[i]); });
-    } else {
-      ParallelFor(ctx.opts.jobs, tramps.size(),
-                  [&](size_t i) { MergeTrampolineChecks(&tramps[i]); });
-    }
+    ctx.pool->ParallelFor(tramps.size(), [&](size_t i) { MergeTrampolineChecks(&tramps[i]); });
     size_t after = 0;
     for (const PlannedTrampoline& t : tramps) {
       after += t.checks.size();
@@ -377,7 +342,7 @@ class LivenessPass : public Pass {
     for (const PlannedTrampoline& t : ctx.plan.trampolines) {
       indices.push_back(t.insn_index);
     }
-    ctx.cache.PrecomputeClobbers(indices, ctx.opts.jobs);
+    ctx.cache.PrecomputeClobbers(indices);
     return PassOutcome{.items = indices.size()};
   }
 };
@@ -405,7 +370,7 @@ class CodegenPass : public Pass {
     for (const PlannedTrampoline& tramp : plan.trampolines) {
       leader_indices.push_back(tramp.insn_index);
     }
-    ctx.cache.PrecomputeClobbers(leader_indices, ctx.opts.jobs);
+    ctx.cache.PrecomputeClobbers(leader_indices);
 
     ctx.requests.clear();
     ctx.requests.reserve(plan.trampolines.size());
@@ -502,7 +467,7 @@ class PatchPass : public Pass {
     if (text == nullptr) {
       return Error("patch: image has no text section");
     }
-    PatchSpans(text, ctx.spans, ctx.tramp_code.starts, ctx.pool);
+    PatchSpans(text, ctx.spans, ctx.tramp_code.starts);
     if (!ctx.tramp_code.bytes.empty()) {
       Section ts;
       ts.kind = Section::Kind::kTrampoline;

@@ -19,9 +19,12 @@
 // A paper ablation column is a pipeline with a pass disabled
 // (Pipeline::SetEnabled), not a flag threaded through the driver. Each
 // executed pass records a PassStats block (items, changed, wall time, and a
-// static cycles-saved estimate for the optimization passes); the per-item
-// passes (merge, liveness, codegen) run across a work-queue thread pool of
-// `RedFatOptions::jobs` workers with deterministic, byte-identical output.
+// static cycles-saved estimate for the optimization passes). One parallel
+// rule: the per-item passes (merge, liveness, codegen) run across a
+// work-queue thread pool of `RedFatOptions::jobs` workers, each item writing
+// only its own output slot, so output is byte-identical for any job count.
+// Every other pass is one serial scan: on a 2-wide pool a sharded scan costs
+// more in region setup than it saves.
 //
 // Analyses (decoded instructions, CFG, operand classes, per-instruction
 // clobber info) live in an AnalysisCache so later passes and external
@@ -103,12 +106,10 @@ class AnalysisCache {
 
   const BinaryImage& image() const { return image_; }
 
-  // Pool used by EnsureDisasm/EnsureCfg/PrecomputeClobbers, and consulted by
-  // the lazy clobbers() accessor to reject unsynchronized memoisation while
-  // a parallel region is running. Set by Pipeline::Run for the duration of a
-  // run; nullptr means serial.
+  // Pool used by PrecomputeClobbers, and consulted by the lazy clobbers()
+  // accessor to reject unsynchronized memoisation while a parallel region
+  // is running. Set by Pipeline::Run for the duration of a run.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
-  ThreadPool* pool() const { return pool_; }
 
   Status EnsureDisasm();
   bool has_disasm() const { return disasm_.has_value(); }
@@ -128,9 +129,8 @@ class AnalysisCache {
   // must PrecomputeClobbers first).
   const ClobberInfo& clobbers(size_t insn_index);
   // Fills the cache for every listed index that is not already cached, in
-  // parallel (on the attached pool if set, else up to `jobs` transient
-  // threads).
-  void PrecomputeClobbers(const std::vector<size_t>& indices, unsigned jobs);
+  // parallel on the attached pool (which must be set).
+  void PrecomputeClobbers(const std::vector<size_t>& indices);
 
  private:
   const BinaryImage& image_;
@@ -155,10 +155,11 @@ struct PipelineContext {
   const AllowList* allow = nullptr;
   AnalysisCache cache;
 
-  // Worker pool the passes shard on. Usually owned by Pipeline::Run (which
-  // creates a scoped pool of opts.jobs workers when this is null); a batch
-  // driver instrumenting several images concurrently injects one shared
-  // pool here so the images do not oversubscribe the machine.
+  // Worker pool of the merge, liveness and codegen passes. Usually owned by
+  // Pipeline::Run (which creates a scoped pool of opts.jobs workers when
+  // this is null); a batch driver instrumenting several images concurrently
+  // injects one shared pool here so the images do not oversubscribe the
+  // machine.
   ThreadPool* pool = nullptr;
 
   // Planning state.

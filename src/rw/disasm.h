@@ -21,8 +21,6 @@
 
 namespace redfat {
 
-class ThreadPool;
-
 struct DisasmInsn {
   uint64_t addr = 0;
   unsigned length = 0;
@@ -48,12 +46,9 @@ struct Disassembly {
   }
 };
 
-// Linear-sweep disassembly of the text section. With a pool, fixed-size
-// address chunks are decoded speculatively in parallel and stitched back
-// together with a deterministic serial cursor walk; the result (and any
-// decode error) is byte-identical to the serial sweep.
-Result<Disassembly> DisassembleText(const BinaryImage& image,
-                                    ThreadPool* pool = nullptr);
+// Linear-sweep disassembly of the text section. Serial, like every
+// analysis pass (DESIGN.md §4.7: only the per-item passes use the pool).
+Result<Disassembly> DisassembleText(const BinaryImage& image);
 
 struct CfgInfo {
   // Addresses that some (recovered, over-approximated) control transfer may
@@ -73,11 +68,8 @@ struct CfgInfo {
   }
 };
 
-// With a pool, target collection runs over instruction ranges (the sorted,
-// de-duplicated union is order-insensitive) and block ids are assigned by a
-// leader-count prefix sum; both are independent of the job count.
-CfgInfo RecoverCfg(const Disassembly& dis, const BinaryImage& image,
-                   ThreadPool* pool = nullptr);
+// One serial pass collects the targets, one more assigns the block ids.
+CfgInfo RecoverCfg(const Disassembly& dis, const BinaryImage& image);
 
 }  // namespace redfat
 

@@ -1,7 +1,6 @@
 #include "src/rw/rewriter.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "src/support/check.h"
 #include "src/support/parallel.h"
@@ -246,25 +245,11 @@ TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPla
   return code;
 }
 
-TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPlan>& spans,
-                               const std::vector<PatchRequest>& requests,
-                               uint64_t trampoline_base, unsigned jobs, RewriteStats* stats) {
-  jobs = ResolveJobs(jobs);
-  std::optional<ThreadPool> pool;
-  if (jobs > 1 && spans.size() > 1) {
-    pool.emplace(jobs);
-  }
-  return EmitTrampolines(dis, spans, requests, trampoline_base,
-                         pool.has_value() ? &*pool : nullptr, stats);
-}
-
 void PatchSpans(Section* text, const std::vector<SpanPlan>& spans,
-                const std::vector<uint64_t>& tramp_starts, ThreadPool* pool) {
+                const std::vector<uint64_t>& tramp_starts) {
   REDFAT_CHECK(text != nullptr);
   REDFAT_CHECK(spans.size() == tramp_starts.size());
-  // Each span overwrites its own disjoint byte range, so the per-span body
-  // is schedule-independent.
-  const auto patch_one = [&](size_t i) {
+  for (size_t i = 0; i < spans.size(); ++i) {
     const SpanPlan& span = spans[i];
     const uint64_t patch_off = span.addr - text->vaddr;
     const int64_t rel = static_cast<int64_t>(tramp_starts[i]) -
@@ -276,13 +261,6 @@ void PatchSpans(Section* text, const std::vector<SpanPlan>& spans,
     std::copy(jmp_bytes.begin(), jmp_bytes.end(), text->bytes.begin() + patch_off);
     for (unsigned f = kJmpLen; f < span.span_len; ++f) {
       text->bytes[patch_off + f] = static_cast<uint8_t>(Op::kUd2);
-    }
-  };
-  if (pool != nullptr && pool->jobs() > 1 && spans.size() > 1) {
-    pool->ParallelFor(spans.size(), patch_one);
-  } else {
-    for (size_t i = 0; i < spans.size(); ++i) {
-      patch_one(i);
     }
   }
 }
@@ -303,8 +281,7 @@ Rewriter::Rewriter(const BinaryImage& image) : image_(image) {
 }
 
 Result<BinaryImage> Rewriter::Apply(const std::vector<PatchRequest>& requests,
-                                    RewriteStats* stats, uint64_t trampoline_base,
-                                    unsigned jobs) {
+                                    RewriteStats* stats, uint64_t trampoline_base) {
   REDFAT_CHECK(ok_);
   RewriteStats local;
   RewriteStats& st = stats != nullptr ? *stats : local;
@@ -316,7 +293,7 @@ Result<BinaryImage> Rewriter::Apply(const std::vector<PatchRequest>& requests,
   }
   const std::vector<SpanPlan>& spans = planned.value();
   const TrampolineCode code =
-      EmitTrampolines(disasm_, spans, requests, trampoline_base, jobs, &st);
+      EmitTrampolines(disasm_, spans, requests, trampoline_base, nullptr, &st);
 
   BinaryImage out = image_;
   Section* text = out.FindSection(Section::Kind::kText);

@@ -20,15 +20,16 @@
 // emulated as push-return-address + jmp.
 //
 // Rewriting is exposed as three free-function stages over a shared
-// disassembly (so the pass pipeline can reuse cached analyses, and time and
-// parallelize each stage independently):
+// disassembly (so the pass pipeline can reuse cached analyses, and time each
+// stage independently):
 //   PlanSpans        — serial: overwrite-span construction + conflicts;
 //   EmitTrampolines  — per-span code emission (payloads + relocations +
 //                      jump back), each span emitted once. Contiguous
 //                      chunks of spans are assembled at the region base
 //                      (in parallel with a pool), laid out by prefix sum,
 //                      and moved into place with Assembler::Rebase —
-//                      byte-identical to one serial pass;
+//                      byte-identical to one serial pass. The only stage
+//                      that uses a pool;
 //   PatchSpans       — serial: overwrite the original text bytes.
 // The Rewriter class composes the three over its own disassembly.
 #ifndef REDFAT_SRC_RW_REWRITER_H_
@@ -44,6 +45,8 @@
 #include "src/support/result.h"
 
 namespace redfat {
+
+class ThreadPool;
 
 // Emits payload code into the trampoline assembler. The payload must
 // preserve all guest-visible state it does not own (the caller decides
@@ -95,20 +98,14 @@ size_t EmitSpanTrampoline(const Disassembly& dis, Assembler& as, const SpanPlan&
                           const std::vector<PatchRequest>& requests);
 
 // Stage 2: emits all span trampolines as one code blob based at
-// `trampoline_base`, recording each span's start address. With `jobs > 1`
-// chunks of spans are emitted across a thread pool; the blob is
-// byte-identical to `jobs == 1`. Fills stats->applied/trampolines/
-// trampoline_bytes.
+// `trampoline_base`, recording each span's start address. With a pool,
+// chunks of spans are emitted across its workers; the blob is
+// byte-identical to the serial emission (nullptr = one chunk, one
+// assembler). Fills stats->applied/trampolines/trampoline_bytes.
 struct TrampolineCode {
   std::vector<uint8_t> bytes;
   std::vector<uint64_t> starts;  // parallel to the span vector
 };
-TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPlan>& spans,
-                               const std::vector<PatchRequest>& requests,
-                               uint64_t trampoline_base, unsigned jobs, RewriteStats* stats);
-
-// Pool form: the same emission on the pipeline's persistent workers
-// instead of a per-call pool (nullptr = serial, one chunk).
 TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPlan>& spans,
                                const std::vector<PatchRequest>& requests,
                                uint64_t trampoline_base, ThreadPool* pool,
@@ -116,10 +113,9 @@ TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPla
 
 // Stage 3: overwrites each span's original bytes with `jmp rel32` into its
 // trampoline plus 1-byte ud2 filler. Spans never overlap (PlanSpans merges
-// or skips colliding sites), so with a pool each span patches its own
-// disjoint text range in parallel.
+// or skips colliding sites).
 void PatchSpans(Section* text, const std::vector<SpanPlan>& spans,
-                const std::vector<uint64_t>& tramp_starts, ThreadPool* pool = nullptr);
+                const std::vector<uint64_t>& tramp_starts);
 
 class Rewriter {
  public:
@@ -134,11 +130,10 @@ class Rewriter {
 
   // Applies all requests and returns the rewritten image. `trampoline_base`
   // places the new section (shared objects instrumented separately need
-  // distinct, non-overlapping bases — §7.4). With `jobs > 1` the span
-  // trampolines are emitted across a thread pool; the output is
-  // byte-identical to `jobs == 1`.
+  // distinct, non-overlapping bases — §7.4). Serial; the pass pipeline
+  // (core/pipeline.h) is the parallel driver.
   Result<BinaryImage> Apply(const std::vector<PatchRequest>& requests, RewriteStats* stats,
-                            uint64_t trampoline_base = kTrampolineBase, unsigned jobs = 1);
+                            uint64_t trampoline_base = kTrampolineBase);
 
  private:
   BinaryImage image_;

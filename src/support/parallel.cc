@@ -165,31 +165,4 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   });
 }
 
-void ParallelFor(unsigned jobs, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  jobs = ResolveJobs(jobs);
-  if (jobs <= 1 || n <= 1 || tl_region_depth > 0) {
-    for (size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  ThreadPool pool(static_cast<unsigned>(std::min<size_t>(jobs, n)));
-  pool.ParallelFor(n, fn);
-}
-
-void ParallelForChunked(unsigned jobs, size_t n, size_t grain,
-                        const std::function<void(size_t, size_t)>& fn) {
-  jobs = ResolveJobs(jobs);
-  if (grain == 0) {
-    grain = DefaultGrain(n, jobs);
-  }
-  if (jobs <= 1 || n <= grain || tl_region_depth > 0) {
-    RunSerial(n, fn, grain);
-    return;
-  }
-  ThreadPool pool(jobs);
-  pool.ParallelForChunked(n, grain, fn);
-}
-
 }  // namespace redfat

@@ -45,7 +45,8 @@
 //                          than mis-applied
 //   --hot-threshold=F      fraction of profiled trampoline cycles the hot
 //                          tier must cover (default 0.9)
-//   --allowlist FILE       allow-list file: one hex site address per line
+//   --allowlist FILE       allow-list file: one site address per line
+//                          (0x-hex or decimal; a bad line is an error)
 //   --profile-data FILE    build the allow-list from an `rfrun
 //                          --profile-dump` file (re-plans the input binary
 //                          deterministically to map site ids to addresses)
@@ -76,7 +77,6 @@
 //                          this invocation would be served under, and exit
 //   -v                     verbose plan/rewrite statistics
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -131,21 +131,14 @@ InputSpec ParseInputSpec(const std::string& arg) {
   const size_t colon = arg.rfind(':');
   if (colon != std::string::npos) {
     const std::string suffix = arg.substr(colon + 1);
-    if (suffix.rfind("0x", 0) == 0 || suffix.rfind("0X", 0) == 0) {
-      char* end = nullptr;
-      const unsigned long long base = std::strtoull(suffix.c_str(), &end, 16);
-      if (end != suffix.c_str() + 2 && *end == '\0' && base != 0) {
-        spec.path = arg.substr(0, colon);
-        spec.trampoline_base = base;
-      }
+    uint64_t base = 0;
+    if ((suffix.rfind("0x", 0) == 0 || suffix.rfind("0X", 0) == 0) &&
+        ParseNumber(suffix, &base) && base != 0) {
+      spec.path = arg.substr(0, colon);
+      spec.trampoline_base = base;
     }
   }
   return spec;
-}
-
-std::string BaseName(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
 std::string Stem(const std::string& name) {
@@ -166,14 +159,6 @@ std::string PerImagePath(const std::string& base, const std::string& stem) {
     return base + "." + stem;
   }
   return base.substr(0, dot) + "." + stem + base.substr(dot);
-}
-
-Result<std::string> ReadWholeFile(const std::string& path) {
-  Result<std::vector<uint8_t>> bytes = ReadFileBytes(path);
-  if (!bytes.ok()) {
-    return Error(bytes.error());
-  }
-  return std::string(bytes.value().begin(), bytes.value().end());
 }
 
 // `redfat --merge-metrics out.json a.json b.json ...`: sums per-site
@@ -205,23 +190,16 @@ int MergeMetricsMain(const std::vector<std::string>& paths) {
   return 0;
 }
 
-// Loads a --metrics snapshot into the tier pass's input: plain (image-0)
-// site ids mapped to the cycles the site's checks cost at runtime.
+// Loads a --metrics snapshot file into the tier pass's input (the join is
+// the service's: image-0 sites, trampoline + inline-check cycles).
 Result<TierProfile> TierProfileFromMetrics(const std::string& path) {
   Result<std::string> text = ReadWholeFile(path);
   if (!text.ok()) {
     return Error(text.error());
   }
-  Result<TelemetrySnapshot> snap = TelemetrySnapshotFromJson(text.value());
-  if (!snap.ok()) {
-    return Error(StrFormat("%s: %s", path.c_str(), snap.error().c_str()));
-  }
-  TierProfile profile;
-  for (const SiteTelemetry& st : snap.value().sites) {
-    if (ImageOfSiteKey(st.site) != 0) {
-      continue;  // multi-image keys: only the main image's sites apply
-    }
-    profile.cycles_by_site[st.site] = st.tramp_cycles() + st.inline_cycles();
+  Result<TierProfile> profile = TierProfileFromSnapshotJson(text.value());
+  if (!profile.ok()) {
+    return Error(StrFormat("%s: %s", path.c_str(), profile.error().c_str()));
   }
   return profile;
 }
@@ -232,11 +210,18 @@ Result<AllowList> AllowListFromFile(const std::string& path) {
     return Error(lines.error());
   }
   AllowList allow;
-  for (const std::string& line : lines.value()) {
+  for (size_t i = 0; i < lines.value().size(); ++i) {
+    const std::string& line = lines.value()[i];
     if (line.empty() || line[0] == '#') {
       continue;
     }
-    allow.addrs.insert(std::strtoull(line.c_str(), nullptr, 0));
+    uint64_t addr = 0;
+    if (!ParseNumber(line, &addr)) {
+      return Error(StrFormat("%s:%zu: allow-list line '%s' is not a decimal or 0x-hex "
+                             "address",
+                             path.c_str(), i + 1, line.c_str()));
+    }
+    allow.addrs.insert(addr);
   }
   return allow;
 }

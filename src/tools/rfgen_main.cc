@@ -9,8 +9,9 @@
 //   rfgen uaf SEED out.rfbin          # forensics workload (mode-gated bug)
 //   rfgen churn SEED out.rfbin        # fragmentation workload (mode-gated
 //                                     # freelist-corruption bugs)
+//
+// SEED is a decimal or 0x-hex number (exit 2 otherwise).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -50,6 +51,15 @@ int Save(const BinaryImage& img, const std::string& path) {
   std::fprintf(stderr, "rfgen: wrote %s (%llu bytes)\n", path.c_str(),
                static_cast<unsigned long long>(img.TotalBytes()));
   return 0;
+}
+
+// SEED is a decimal or 0x-hex number; anything else is a usage error.
+bool ParseSeed(const std::string& text, uint64_t* seed) {
+  if (ParseNumber(text, seed)) {
+    return true;
+  }
+  std::fprintf(stderr, "rfgen: SEED '%s' is not a decimal or 0x-hex number\n", text.c_str());
+  return false;
 }
 
 int Main(int argc, char** argv) {
@@ -115,24 +125,32 @@ int Main(int argc, char** argv) {
   }
   if (cmd == "synth") {
     SynthParams p;
-    p.seed = std::strtoull(name.c_str(), nullptr, 0);
+    if (!ParseSeed(name, &p.seed)) {
+      return 2;
+    }
     return Save(GenerateSynthProgram(p), out);
   }
   if (cmd == "server") {
     ServerParams p;
-    p.seed = std::strtoull(name.c_str(), nullptr, 0);
+    if (!ParseSeed(name, &p.seed)) {
+      return 2;
+    }
     return Save(GenerateServerProgram(p), out);
   }
   if (cmd == "uaf") {
     UafParams p;
-    p.seed = std::strtoull(name.c_str(), nullptr, 0);
+    if (!ParseSeed(name, &p.seed)) {
+      return 2;
+    }
     std::fprintf(stderr,
                  "rfgen: inputs[0]=0 benign, =1 use-after-free, =2 double free\n");
     return Save(GenerateUafProgram(p), out);
   }
   if (cmd == "churn") {
     ChurnParams p;
-    p.seed = std::strtoull(name.c_str(), nullptr, 0);
+    if (!ParseSeed(name, &p.seed)) {
+      return 2;
+    }
     std::fprintf(stderr,
                  "rfgen: inputs[0]=operations, inputs[1]=0 benign, =1 forged "
                  "freelist link, =2 overlapping free\n");

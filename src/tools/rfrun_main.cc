@@ -2,6 +2,8 @@
 //
 //   rfrun [options] prog.rfbin [input-word ...]
 //
+// Each input word is a decimal or 0x-hex number (exit 2 otherwise).
+//
 // Options:
 //   --runtime=baseline|redfat|redfat-shadow|redfat-debug|memcheck
 //                          runtime binding (default: baseline).
@@ -79,7 +81,6 @@
 // code; 134 if the run aborted on a detected memory error (like SIGABRT);
 // 139 if the guest faulted, e.g. freed an invalid pointer under the baseline.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -136,11 +137,6 @@ LibSpec ParseLibSpec(const std::string& spec) {
     lib.path = spec;
   }
   return lib;
-}
-
-std::string BaseName(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
 Result<std::vector<SiteRecord>> LoadSiteMapFile(
@@ -272,7 +268,13 @@ int Main(int argc, char** argv) {
   }
   cfg.policy = policy == "log" ? Policy::kLog : Policy::kHarden;
   for (size_t i = 1; i < positional.size(); ++i) {
-    cfg.inputs.push_back(std::strtoull(positional[i].c_str(), nullptr, 0));
+    uint64_t word = 0;
+    if (!ParseNumber(positional[i], &word)) {
+      std::fprintf(stderr, "rfrun: input word '%s' is not a decimal or 0x-hex number\n",
+                   positional[i].c_str());
+      return 2;
+    }
+    cfg.inputs.push_back(word);
   }
 
   Result<BinaryImage> image = LoadImageFile(positional[0]);
@@ -551,13 +553,12 @@ int Main(int argc, char** argv) {
     PipelineStats pipeline;
     bool have_pipeline = false;
     if (!pipeline_stats_path.empty()) {
-      Result<std::vector<uint8_t>> bytes = ReadFileBytes(pipeline_stats_path);
-      if (!bytes.ok()) {
-        std::fprintf(stderr, "rfrun: %s\n", bytes.error().c_str());
+      Result<std::string> text = ReadWholeFile(pipeline_stats_path);
+      if (!text.ok()) {
+        std::fprintf(stderr, "rfrun: %s\n", text.error().c_str());
         return 1;
       }
-      Result<PipelineStats> parsed = PipelineStatsFromJson(
-          std::string(bytes.value().begin(), bytes.value().end()));
+      Result<PipelineStats> parsed = PipelineStatsFromJson(text.value());
       if (!parsed.ok()) {
         std::fprintf(stderr, "rfrun: %s\n", parsed.error().c_str());
         return 1;

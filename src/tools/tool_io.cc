@@ -65,6 +65,14 @@ Status SaveImageFile(const std::string& path, const BinaryImage& image) {
   return WriteFileBytes(path, image.Serialize());
 }
 
+Result<std::string> ReadWholeFile(const std::string& path) {
+  Result<std::vector<uint8_t>> bytes = ReadFileBytes(path);
+  if (!bytes.ok()) {
+    return Error(bytes.error());
+  }
+  return std::string(bytes.value().begin(), bytes.value().end());
+}
+
 Result<std::vector<std::string>> ReadLines(const std::string& path) {
   Result<std::vector<uint8_t>> bytes = ReadFileBytes(path);
   if (!bytes.ok()) {
@@ -84,6 +92,11 @@ Result<std::vector<std::string>> ReadLines(const std::string& path) {
     lines.push_back(cur);
   }
   return lines;
+}
+
+std::string BaseName(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
 Status WriteTextFile(const std::string& path, const std::string& text) {

@@ -21,9 +21,15 @@ Status WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes
 Result<BinaryImage> LoadImageFile(const std::string& path);
 Status SaveImageFile(const std::string& path, const BinaryImage& image);
 
+// The whole file as one string (JSON snapshots).
+Result<std::string> ReadWholeFile(const std::string& path);
+
 // Text-file helpers for allow-lists ("0x<addr>" per line) and profile dumps
 // ("<site> <passes> <fails>" per line).
 Result<std::vector<std::string>> ReadLines(const std::string& path);
+
+// The last path component ("dir/a.rfbin" -> "a.rfbin").
+std::string BaseName(const std::string& path);
 
 // Writes `text` to `path`; the conventional "-" writes to stdout instead.
 Status WriteTextFile(const std::string& path, const std::string& text);

@@ -148,6 +148,54 @@ for good in "--limit 100000000" "--limit=100000000" "--seed 0x10" "--seed=7" \
   expect_status 0 "$TOOLS/rfrun" $good mcf.rfbin 5 0x3f
 done
 
+# Positional numbers are parsed as strictly as option values: rfrun input
+# words and rfgen seeds are decimal or 0x-hex (exit 2 otherwise), and a bad
+# allow-list line is a typed error naming file:line (exit 1).
+for bad in "50x 0x3f" "50 0x3fz" "abc" "5 -1" "5 0x"; do
+  # shellcheck disable=SC2086
+  expect_status 2 "$TOOLS/rfrun" mcf.rfbin $bad
+done
+expect_status 0 "$TOOLS/rfrun" mcf.rfbin 5 0X3f
+for bad in 12abc "" 0x -3; do
+  expect_status 2 "$TOOLS/rfgen" churn "$bad" bad.rfbin
+done
+expect_status 0 "$TOOLS/rfgen" churn 0x12 ok.rfbin
+printf '# site addresses\n0x400010\n\nbogus\n' > bad.allow
+set +e
+"$TOOLS/redfat" --allowlist bad.allow mcf.rfbin /dev/null 2> bad_allow.txt
+got=$?
+set -e
+[ "$got" -eq 1 ] || fail "bad allow-list line: exit $got (want 1)"
+grep -q "bad.allow:4:" bad_allow.txt || fail "bad allow-list error does not name file:line"
+printf '0x400010\n4194320\n' > ok.allow
+expect_status 0 "$TOOLS/redfat" --allowlist ok.allow mcf.rfbin /dev/null
+
+# Batch mode: several images on one shared pool. Each output is
+# byte-identical to its single-image --jobs=1 rewrite, per-image stats land
+# next to the --stats path, a `path:0xADDR` input moves its trampoline
+# section, and single-image-only flags are refused.
+"$TOOLS/rfgen" kraken ai-astar kraken.rfbin 2> /dev/null
+mkdir batch based
+"$TOOLS/redfat" --jobs=4 --output-dir batch --stats st.json mcf.rfbin kraken.rfbin \
+    || fail "batch rewrite"
+for stem in mcf kraken; do
+  "$TOOLS/redfat" --jobs=1 "$stem.rfbin" "$stem.single.rfbin"
+  cmp "batch/$stem.rfbin" "$stem.single.rfbin" \
+      || fail "batch output for $stem differs from the single-image rewrite"
+  [ -s "st.$stem.json" ] || fail "batch mode wrote no st.$stem.json"
+  if command -v python3 > /dev/null; then
+    python3 -c "import json, sys; json.load(open(sys.argv[1]))" "st.$stem.json" \
+        || fail "st.$stem.json does not parse"
+  else
+    grep -q '"passes":\[' "st.$stem.json" || fail "st.$stem.json has no passes"
+  fi
+done
+"$TOOLS/redfat" --output-dir based mcf.rfbin:0x20000000 || fail "batch rewrite at a base"
+"$TOOLS/rfobjdump" based/mcf.rfbin > based_dis.txt || fail "rfobjdump based"
+grep -q "^.redfat.tramp @ 0x20000000 " based_dis.txt \
+    || fail "path:0xADDR did not place the trampoline section"
+expect_status 2 "$TOOLS/redfat" --profile --output-dir batch mcf.rfbin
+
 # An invalid free (churn mode 2 frees an interior pointer) is a guest fault
 # under the glibc-like baseline (139) and a reported detection under
 # memcheck (134 with a MEMORY ERROR line), never a host abort.

@@ -1,14 +1,15 @@
-// Determinism stress test for the parallel rewrite path (ISSUE 3 contract):
-// for a corpus of golden configurations, the instrumented image produced at
+// Determinism stress test for the parallel rewrite path: for a corpus of
+// golden configurations, the instrumented image produced at
 // --jobs ∈ {1, 2, 8} must be byte-identical, and the per-pass items/changed
 // stats must match exactly — the schedule may change timings, never results.
 //
-// The corpus deliberately crosses the sharded passes' seams:
+// Only the merge, liveness and codegen passes run on the pool; the corpus
+// exercises them over many trampoline counts and chunk layouts:
 //   * every optimization tier of Table 1 (unopt / +elim / +batch / +merge),
 //     plus -size, -reads, profile mode and the shadow-redzone ablation;
-//   * a Kraken image (large text: parallel disasm chunks, CFG ranges);
-//   * a synthetic image > 64 KiB of text, so linear-sweep decode spans
-//     several fixed 16 KiB chunks with instructions straddling boundaries.
+//   * a Kraken image (large, filler-heavy text);
+//   * a synthetic image > 64 KiB of text, large enough that codegen splits
+//     its spans into many chunks and the pool schedules them unevenly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -96,9 +97,9 @@ TEST(DeterminismStressTest, MidWeightSynthImage) {
   ExpectJobsInvariant(GenerateSynthProgram(p), "synth-mid");
 }
 
-TEST(DeterminismStressTest, LargeTextCrossesDisasmChunks) {
-  // > 64 KiB of text: the parallel linear sweep runs several 16 KiB chunks
-  // and must stitch straddling instructions exactly like the serial sweep.
+TEST(DeterminismStressTest, LargeTextImage) {
+  // > 64 KiB of text: many trampolines spread over every codegen chunk,
+  // each chunk rebased to its final address.
   SynthParams p;
   p.seed = 0xb16;
   p.mem_pct = 40;
@@ -112,7 +113,7 @@ TEST(DeterminismStressTest, LargeTextCrossesDisasmChunks) {
       text_bytes += s.bytes.size();
     }
   }
-  ASSERT_GT(text_bytes, 64u * 1024u) << "workload too small to cross chunks";
+  ASSERT_GT(text_bytes, 64u * 1024u) << "workload too small";
   ExpectJobsInvariant(img, "synth-large");
 }
 

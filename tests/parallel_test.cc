@@ -1,5 +1,6 @@
-// Tests for support/parallel.h: exactly-once index coverage across job
-// counts, degenerate sizes, and exception propagation to the caller.
+// Tests for support/parallel.h: ThreadPool's exactly-once index coverage
+// across job counts, degenerate sizes, chunk partitions, nesting, and
+// exception propagation to the caller.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,59 +23,53 @@ TEST(ParallelTest, ResolveJobsMapsZeroToHardware) {
   EXPECT_EQ(ResolveJobs(7), 7u);
 }
 
-void ExpectEveryIndexExactlyOnce(unsigned jobs, size_t n) {
+void ExpectEveryIndexExactlyOnce(ThreadPool& pool, size_t n) {
   std::vector<std::atomic<uint32_t>> hits(n);
   for (auto& h : hits) {
     h.store(0);
   }
-  ParallelFor(jobs, n, [&hits](size_t i) { hits[i].fetch_add(1); });
+  pool.ParallelFor(n, [&hits](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hits[i].load(), 1u) << "jobs=" << jobs << " n=" << n << " i=" << i;
+    EXPECT_EQ(hits[i].load(), 1u) << "jobs=" << pool.jobs() << " n=" << n << " i=" << i;
   }
 }
 
 TEST(ParallelTest, CoversEveryIndexExactlyOnce) {
   for (unsigned jobs : {0u, 1u, 2u, 4u, 16u}) {
+    ThreadPool pool(jobs);
     for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{64},
                      size_t{1000}}) {
-      ExpectEveryIndexExactlyOnce(jobs, n);
+      ExpectEveryIndexExactlyOnce(pool, n);
     }
   }
 }
 
 TEST(ParallelTest, MoreJobsThanItemsStillCoversAll) {
-  ExpectEveryIndexExactlyOnce(/*jobs=*/32, /*n=*/5);
+  ThreadPool pool(32);
+  ExpectEveryIndexExactlyOnce(pool, /*n=*/5);
 }
 
 TEST(ParallelTest, ZeroItemsNeverInvokesFn) {
-  ParallelFor(4, 0, [](size_t) { FAIL() << "fn called for empty range"; });
-}
-
-TEST(ParallelTest, InlinePathPreservesOrder) {
-  // jobs <= 1 runs on the calling thread in ascending index order.
-  std::vector<size_t> order;
-  ParallelFor(1, 8, [&order](size_t i) { order.push_back(i); });
-  ASSERT_EQ(order.size(), 8u);
-  for (size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(order[i], i);
-  }
+  ThreadPool pool(4);
+  pool.ParallelFor(0, [](size_t) { FAIL() << "fn called for empty range"; });
 }
 
 TEST(ParallelTest, RethrowsExceptionFromInlinePath) {
-  EXPECT_THROW(
-      ParallelFor(1, 4,
-                  [](size_t i) {
-                    if (i == 2) {
-                      throw std::runtime_error("boom");
-                    }
-                  }),
-      std::runtime_error);
+  ThreadPool pool(1);
+  EXPECT_THROW(pool.ParallelFor(4,
+                                [](size_t i) {
+                                  if (i == 2) {
+                                    throw std::runtime_error("boom");
+                                  }
+                                }),
+               std::runtime_error);
 }
 
 TEST(ParallelTest, RethrowsFirstExceptionFromWorkers) {
+  ThreadPool pool(4);
   std::atomic<size_t> ran{0};
   try {
-    ParallelFor(4, 1000, [&ran](size_t i) {
+    pool.ParallelFor(1000, [&ran](size_t i) {
       if (i == 10) {
         throw std::runtime_error("worker failure");
       }
@@ -90,23 +85,24 @@ TEST(ParallelTest, RethrowsFirstExceptionFromWorkers) {
 
 TEST(ParallelTest, ExceptionLeavesPoolReusable) {
   // A throw must join all workers; subsequent calls behave normally.
-  EXPECT_THROW(
-      ParallelFor(4, 100, [](size_t) { throw std::logic_error("once"); }),
-      std::logic_error);
-  ExpectEveryIndexExactlyOnce(4, 100);
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.ParallelFor(100, [](size_t) { throw std::logic_error("once"); }),
+               std::logic_error);
+  ExpectEveryIndexExactlyOnce(pool, 100);
 }
 
 // --- chunked variant --------------------------------------------------------
 
 TEST(ParallelChunkedTest, ChunksExactlyPartitionTheRange) {
   for (unsigned jobs : {1u, 2u, 4u}) {
+    ThreadPool pool(jobs);
     for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{64}, size_t{1001}}) {
       for (size_t grain : {size_t{0}, size_t{1}, size_t{3}, size_t{64}, size_t{5000}}) {
         std::vector<std::atomic<uint32_t>> hits(n);
         for (auto& h : hits) {
           h.store(0);
         }
-        ParallelForChunked(jobs, n, grain, [&](size_t begin, size_t end) {
+        pool.ParallelForChunked(n, grain, [&](size_t begin, size_t end) {
           ASSERT_LT(begin, end);
           ASSERT_LE(end, n);
           for (size_t i = begin; i < end; ++i) {
@@ -123,7 +119,8 @@ TEST(ParallelChunkedTest, ChunksExactlyPartitionTheRange) {
 }
 
 TEST(ParallelChunkedTest, ChunksNeverExceedGrain) {
-  ParallelForChunked(4, 1000, 37, [](size_t begin, size_t end) {
+  ThreadPool pool(4);
+  pool.ParallelForChunked(1000, 37, [](size_t begin, size_t end) {
     EXPECT_LE(end - begin, size_t{37});
   });
 }
@@ -132,9 +129,10 @@ TEST(ParallelChunkedTest, PartitionIsScheduleIndependent) {
   // The (begin, end) chunk set must be a pure function of (n, grain):
   // collect it at jobs=1 and jobs=8 and compare as sets.
   auto collect = [](unsigned jobs) {
+    ThreadPool pool(jobs);
     std::mutex mu;
     std::vector<std::pair<size_t, size_t>> chunks;
-    ParallelForChunked(jobs, 500, 64, [&](size_t begin, size_t end) {
+    pool.ParallelForChunked(500, 64, [&](size_t begin, size_t end) {
       std::lock_guard<std::mutex> lock(mu);
       chunks.emplace_back(begin, end);
     });
@@ -176,7 +174,7 @@ TEST(ThreadPoolTest, ReusableAcrossManyRegions) {
 TEST(ThreadPoolTest, NestedRegionsRunInline) {
   // A worker reaching another ParallelFor must execute it serially on its
   // own thread (no deadlock, no oversubscription) — for nesting on the same
-  // pool, on another pool, and on the free function.
+  // pool and on another pool.
   ThreadPool pool(4);
   ThreadPool other(2);
   std::atomic<uint64_t> inner_hits{0};
@@ -184,9 +182,8 @@ TEST(ThreadPoolTest, NestedRegionsRunInline) {
     EXPECT_TRUE(ThreadPool::OnParallelThread());
     pool.ParallelFor(16, [&](size_t) { inner_hits.fetch_add(1); });
     other.ParallelFor(16, [&](size_t) { inner_hits.fetch_add(1); });
-    ParallelFor(4, 16, [&](size_t) { inner_hits.fetch_add(1); });
   });
-  EXPECT_EQ(inner_hits.load(), 8u * 3u * 16u);
+  EXPECT_EQ(inner_hits.load(), 8u * 2u * 16u);
   EXPECT_FALSE(ThreadPool::OnParallelThread());
 }
 
