@@ -7,8 +7,10 @@
 //   * size-metadata hardening cost;
 //   * trampoline anatomy: bytes of check code per instrumented site.
 #include <cstdio>
+#include <string>
 
 #include "bench/common.h"
+#include "src/support/str.h"
 #include "src/workloads/synth.h"
 
 namespace redfat {
@@ -19,7 +21,9 @@ struct Variant {
   RedFatOptions opts;
 };
 
-int Main() {
+}  // namespace
+
+int RunAblationChecks(const BenchArgs& args) {
   SynthParams p;
   p.seed = 0xab1a7e;
   p.mem_pct = 35;
@@ -50,10 +54,9 @@ int Main() {
 
   std::printf("\nCheck-design ablation (fixed workload, lower is better)\n\n");
   std::printf("%-36s %9s %12s %14s\n", "Variant", "slowdown", "tramp bytes", "bytes/site");
-  PassTimeAggregator pass_times;
+  std::string variant_rows;
   for (const Variant& v : variants) {
     const InstrumentResult ir = MustInstrument(img, v.opts);
-    pass_times.Add(ir.pipeline_stats);
     const RunOutcome out = RunImage(ir.image, RuntimeKind::kRedFat, cfg);
     REDFAT_CHECK(out.result.reason == HaltReason::kExit);
     REDFAT_CHECK(out.outputs == base.outputs);
@@ -63,9 +66,12 @@ int Main() {
                 static_cast<unsigned long long>(ir.rewrite_stats.trampoline_bytes),
                 static_cast<double>(ir.rewrite_stats.trampoline_bytes) /
                     static_cast<double>(ir.plan_stats.checks_emitted));
+    variant_rows += StrFormat(
+        "%s{\"name\":%s,\"slowdown\":%.4f,\"tramp_bytes\":%llu,\"checks_emitted\":%zu}",
+        variant_rows.empty() ? "" : ",", JsonStr(v.name).c_str(), slow,
+        static_cast<unsigned long long>(ir.rewrite_stats.trampoline_bytes),
+        ir.plan_stats.checks_emitted);
   }
-  pass_times.Print(
-      "Instrumentation time by pipeline pass (all variants, --stats JSON)");
   std::printf("\nExpected: the merged-UB trick and clobber analysis each shave cycles\n"
               "(the paper judges the branch removal \"worthwhile\", §4.2); disabling\n"
               "size hardening trades a little security for a little speed.\n");
@@ -76,31 +82,36 @@ int Main() {
   std::printf("\nRedzone implementation ablation (§4.1)\n\n");
   std::printf("%-36s %9s %14s %14s\n", "Implementation", "slowdown", "guest pages",
               "padding OOB?");
-  {
-    const InstrumentResult meta = MustInstrument(img, RedFatOptions{});
-    const RunOutcome m = RunImage(meta.image, RuntimeKind::kRedFat, cfg);
-    REDFAT_CHECK(m.outputs == base.outputs);
-    std::printf("%-36s %8.2fx %14llu %14s\n", "metadata-in-redzone (RedFat)",
-                static_cast<double>(m.result.cycles) / base.result.cycles,
-                static_cast<unsigned long long>(m.touched_pages), "detected");
-
-    RedFatOptions sh;
-    sh.redzone_impl = RedzoneImpl::kShadow;
-    const InstrumentResult shadow = MustInstrument(img, sh);
-    const RunOutcome s = RunImage(shadow.image, RuntimeKind::kRedFatShadow, cfg);
-    REDFAT_CHECK(s.outputs == base.outputs);
-    std::printf("%-36s %8.2fx %14llu %14s\n", "ASAN-style shadow (concatenated)",
-                static_cast<double>(s.result.cycles) / base.result.cycles,
-                static_cast<unsigned long long>(s.touched_pages), "missed");
+  const InstrumentResult meta = MustInstrument(img, RedFatOptions{});
+  const RunOutcome m = RunImage(meta.image, RuntimeKind::kRedFat, cfg);
+  REDFAT_CHECK(m.outputs == base.outputs);
+  RedFatOptions sh;
+  sh.redzone_impl = RedzoneImpl::kShadow;
+  const InstrumentResult shadow = MustInstrument(img, sh);
+  const RunOutcome s = RunImage(shadow.image, RuntimeKind::kRedFatShadow, cfg);
+  REDFAT_CHECK(s.outputs == base.outputs);
+  struct Impl {
+    const char* name;
+    const RunOutcome& run;
+    const char* padding_oob;
+  };
+  std::string impl_rows;
+  for (const Impl& impl : {Impl{"metadata-in-redzone (RedFat)", m, "detected"},
+                           Impl{"ASAN-style shadow (concatenated)", s, "missed"}}) {
+    const double slow = static_cast<double>(impl.run.result.cycles) / base.result.cycles;
+    std::printf("%-36s %8.2fx %14llu %14s\n", impl.name, slow,
+                static_cast<unsigned long long>(impl.run.touched_pages), impl.padding_oob);
+    impl_rows += StrFormat("%s{\"name\":%s,\"slowdown\":%.4f,\"guest_pages\":%llu}",
+                           impl_rows.empty() ? "" : ",", JsonStr(impl.name).c_str(), slow,
+                           static_cast<unsigned long long>(impl.run.touched_pages));
   }
   std::printf("\nThe shadow scheme needs separate bookkeeping (extra guest pages for the\n"
               "shadow map, O(size) marking per malloc/free) and loses exact malloc-size\n"
               "bounds, so overflows into allocation padding go undetected\n"
               "(tests/extensions_test.cc MissesPaddingOverflowUnlikeMetadataImpl).\n");
-  return 0;
+  return WriteJsonRecord(args, "ablation_checks",
+                         "\"variants\":[" + variant_rows + "],\"redzone_impls\":[" +
+                             impl_rows + "]");
 }
 
-}  // namespace
 }  // namespace redfat
-
-int main() { return redfat::Main(); }

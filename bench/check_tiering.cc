@@ -17,12 +17,7 @@
 //   * both runs produce identical guest outputs and identical detected
 //     memory errors (tiering must never change what is caught);
 //   * tiered tramp+inline check cycles are at most 75% of untiered.
-//
-// Writes BENCH_check_tiering.json.
-//
-//   bench_check_tiering [--quick] [--out FILE]
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -111,20 +106,10 @@ RunMeasure MeasureRun(const BinaryImage& image, uint64_t iterations) {
   return m;
 }
 
-int Main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_check_tiering.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_check_tiering [--quick] [--out FILE]\n");
-      return 2;
-    }
-  }
-  const uint64_t iterations = quick ? 300 : 2000;
+}  // namespace
+
+int RunCheckTiering(const BenchArgs& args) {
+  const uint64_t iterations = args.quick ? 300 : 2000;
 
   const BinaryImage img = BuildHotLoopProgram();
 
@@ -185,10 +170,9 @@ int Main(int argc, char** argv) {
               hot_sites, cold_sites, tiered.sites.size(), reduction_pct);
   REDFAT_CHECK(b.check_cycles() * 4 <= a.check_cycles() * 3);  // >= 25% drop
 
-  std::string json = "{\"bench\":\"check_tiering\",";
-  json += StrFormat("\"iterations\":%llu,\"quick\":%s,",
-                    static_cast<unsigned long long>(iterations),
-                    quick ? "true" : "false");
+  std::string json = StrFormat("\"iterations\":%llu,\"quick\":%s,",
+                               static_cast<unsigned long long>(iterations),
+                               args.quick ? "true" : "false");
   json += StrFormat("\"sites\":%zu,\"hot_sites\":%zu,\"cold_sites\":%zu,",
                     tiered.sites.size(), hot_sites, cold_sites);
   json += StrFormat(
@@ -205,20 +189,8 @@ int Main(int argc, char** argv) {
       static_cast<unsigned long long>(b.inline_cycles),
       static_cast<unsigned long long>(b.check_cycles()),
       static_cast<unsigned long long>(b.out.result.cycles), b.out.errors.size());
-  json += StrFormat("\"reduction_pct\":%.2f}\n", reduction_pct);
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_check_tiering: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  json += StrFormat("\"reduction_pct\":%.2f", reduction_pct);
+  return WriteJsonRecord(args, "check_tiering", json);
 }
 
-}  // namespace
 }  // namespace redfat
-
-int main(int argc, char** argv) { return redfat::Main(argc, argv); }

@@ -1,14 +1,18 @@
-// Shared helpers for the experiment harnesses.
+// Shared helpers for the experiment harnesses (`rfbench <experiment>`).
 #ifndef REDFAT_BENCH_COMMON_H_
 #define REDFAT_BENCH_COMMON_H_
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/harness.h"
 #include "src/core/redfat.h"
 #include "src/support/check.h"
+#include "src/support/json.h"
 
 namespace redfat {
 
@@ -34,54 +38,6 @@ inline InstrumentResult MustInstrument(const BinaryImage& img, const RedFatOptio
   return std::move(r).value();
 }
 
-// Aggregates per-pass wall time across instrumentation runs. Each sample is
-// consumed through the machine-readable `--stats` JSON (ToJson →
-// PipelineStatsFromJson), so the benches exercise the exact format external
-// harnesses parse.
-class PassTimeAggregator {
- public:
-  void Add(const PipelineStats& stats) {
-    Result<PipelineStats> parsed = PipelineStatsFromJson(stats.ToJson());
-    REDFAT_CHECK(parsed.ok());
-    for (const PassStats& p : parsed.value().passes) {
-      Row& row = FindOrAdd(p.name);
-      row.wall_ms += p.wall_ms;
-      row.items += p.items;
-      row.changed += p.changed;
-    }
-    total_ms_ += parsed.value().total_ms;
-  }
-
-  void Print(const char* title) const {
-    std::printf("\n%s\n", title);
-    std::printf("  %-10s %12s %12s %10s\n", "pass", "items", "changed", "wall(ms)");
-    for (const Row& row : rows_) {
-      std::printf("  %-10s %12zu %12zu %10.2f\n", row.name.c_str(), row.items, row.changed,
-                  row.wall_ms);
-    }
-    std::printf("  %-10s %12s %12s %10.2f\n", "total", "", "", total_ms_);
-  }
-
- private:
-  struct Row {
-    std::string name;
-    size_t items = 0;
-    size_t changed = 0;
-    double wall_ms = 0.0;
-  };
-  Row& FindOrAdd(const std::string& name) {
-    for (Row& row : rows_) {
-      if (row.name == name) {
-        return row;
-      }
-    }
-    rows_.push_back(Row{name, 0, 0, 0.0});
-    return rows_.back();
-  }
-  std::vector<Row> rows_;  // in first-seen (pipeline) order
-  double total_ms_ = 0.0;
-};
-
 inline double Geomean(const std::vector<double>& xs) {
   if (xs.empty()) {
     return 0.0;
@@ -91,6 +47,50 @@ inline double Geomean(const std::vector<double>& xs) {
     log_sum += std::log(x);
   }
   return std::exp(log_sum / static_cast<double>(xs.size()));
+}
+
+// The command line every experiment takes: `rfbench <name> [--quick] [--out FILE]`.
+struct BenchArgs {
+  bool quick = false;  // smaller workload and fewer reps, for smoke runs
+  std::string out;     // where the JSON record goes; empty writes none
+};
+
+// Host wall-clock milliseconds on the steady clock.
+inline double NowMs() {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// `s` as a JSON string value, quotes included.
+inline std::string JsonStr(std::string_view s) {
+  std::string out = "\"";  // appended in steps: GCC 12 -Wrestrict misfires on "lit" + rvalue
+  out += JsonEscape(s);
+  out += '"';
+  return out;
+}
+
+// Writes `{"bench":"<bench>",<fields>}` and a newline to `args.out` and says so
+// on stdout; writes nothing without --out. Returns 0, or 1 after naming the
+// file on stderr when it cannot be written.
+inline int WriteJsonRecord(const BenchArgs& args, std::string_view bench,
+                           const std::string& fields) {
+  if (args.out.empty()) {
+    return 0;
+  }
+  std::string json = "{\"bench\":";
+  json += JsonStr(bench);
+  json += ",";
+  json += fields;
+  json += "}\n";
+  std::FILE* f = std::fopen(args.out.c_str(), "w");
+  const bool written = f != nullptr && std::fputs(json.c_str(), f) >= 0;
+  if (f == nullptr || std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "rfbench: cannot write %s\n", args.out.c_str());
+    return 1;
+  }
+  std::printf("\nwrote %s\n", args.out.c_str());
+  return 0;
 }
 
 }  // namespace redfat

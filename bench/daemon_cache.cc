@@ -16,14 +16,8 @@
 //   * warm hits are >= 10x faster than cold misses;
 //   * incremental re-tier is measurably faster than the full tiered rerun
 //     (>= 20% wall-time cut).
-//
-// Writes BENCH_daemon_cache.json.
-//
-//   bench_daemon_cache [--quick] [--out FILE]
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -36,12 +30,6 @@
 
 namespace redfat {
 namespace {
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 double Median(std::vector<double> xs) {
   REDFAT_CHECK(!xs.empty());
@@ -76,19 +64,10 @@ std::string ProfileJsonFor(const BinaryImage& hardened) {
   return reg.Snapshot().ToJson();
 }
 
-int Main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_daemon_cache.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_daemon_cache [--quick] [--out FILE]\n");
-      return 2;
-    }
-  }
+}  // namespace
+
+int RunDaemonCache(const BenchArgs& args) {
+  const bool quick = args.quick;
   const int cold_reps = quick ? 3 : 6;
   const int hit_reps = quick ? 20 : 50;
   const int tier_reps = quick ? 3 : 6;
@@ -201,27 +180,14 @@ int Main(int argc, char** argv) {
   REDFAT_CHECK(hit * 10.0 <= cold);
   REDFAT_CHECK(retier * 1.25 <= full);  // >= 20% wall-time cut
 
-  std::string json = "{\"bench\":\"daemon_cache\",";
-  json += StrFormat("\"quick\":%s,\"image_bytes\":%zu,", quick ? "true" : "false",
-                    wires[0].size());
+  std::string json = StrFormat("\"quick\":%s,\"image_bytes\":%zu,",
+                               quick ? "true" : "false", wires[0].size());
   json += StrFormat("\"cold_miss_ms\":%.3f,\"warm_hit_ms\":%.3f,", cold, hit);
   json += StrFormat("\"incremental_retier_ms\":%.3f,\"full_tier_ms\":%.3f,", retier, full);
   json += StrFormat("\"hit_speedup\":%.1f,\"retier_cut_pct\":%.1f,", cold / hit,
                     100.0 * (1.0 - retier / full));
-  json += "\"identical\":true}\n";
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_daemon_cache: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  json += "\"identical\":true";
+  return WriteJsonRecord(args, "daemon_cache", json);
 }
 
-}  // namespace
 }  // namespace redfat
-
-int main(int argc, char** argv) { return redfat::Main(argc, argv); }

@@ -3,21 +3,22 @@
 // (4 array[-1] underflows in calculix's main, 1 overflow read in wrf).
 #include <cstdio>
 #include <set>
+#include <string>
 
 #include "bench/common.h"
 #include "src/dbi/memcheck.h"
+#include "src/support/str.h"
 #include "src/workloads/spec.h"
 #include "src/workloads/synth.h"
 
 namespace redfat {
-namespace {
 
-int Main() {
+int RunDetectedErrors(const BenchArgs& args) {
   std::printf("\nDetected (real) errors in the SPEC suite, RedFat vs Memcheck\n\n");
   std::printf("%-12s %22s %22s %10s\n", "Binary", "RedFat error sites", "Memcheck reports",
               "paper");
   int rc = 0;
-  PassTimeAggregator pass_times;
+  std::string rows;
   for (const SpecBenchmark& bench : SpecSuite()) {
     const unsigned expected =
         bench.params.underflow_bug_sites + bench.params.overflow_bug_sites;
@@ -34,7 +35,6 @@ int Main() {
     RedFatOptions rz;
     rz.lowfat = false;
     const InstrumentResult ir = MustInstrument(img, rz);
-    pass_times.Add(ir.pipeline_stats);
     const RunOutcome run = RunImage(ir.image, RuntimeKind::kRedFat, ref);
     std::set<uint32_t> sites;
     for (const MemErrorReport& e : run.errors) {
@@ -45,18 +45,18 @@ int Main() {
 
     std::printf("%-12s %22zu %22zu %10u\n", bench.name.c_str(), sites.size(),
                 mc.errors.size(), expected);
+    rows += StrFormat("%s{\"name\":%s,\"redfat_error_sites\":%zu,\"memcheck_reports\":%zu,"
+                      "\"expected\":%u}",
+                      rows.empty() ? "" : ",", JsonStr(bench.name).c_str(), sites.size(),
+                      mc.errors.size(), expected);
     if (sites.size() < expected || mc.errors.size() < expected) {
       rc = 1;
     }
   }
-  pass_times.Print(
-      "Instrumentation time by pipeline pass (redzone-only config, --stats JSON)");
   std::printf("\nPaper: calculix has 4 read underflows (array[-1] in main), wrf 1 read\n"
               "overflow (interp_fcn); both tools detect them.\n");
-  return rc;
+  const int written = WriteJsonRecord(args, "detected_errors", "\"rows\":[" + rows + "]");
+  return rc != 0 ? rc : written;
 }
 
-}  // namespace
 }  // namespace redfat
-
-int main() { return redfat::Main(); }

@@ -8,8 +8,10 @@
 // verifies the allow-list workflow eliminates every FP.
 #include <cstdio>
 #include <set>
+#include <string>
 
 #include "bench/common.h"
+#include "src/support/str.h"
 #include "src/workloads/spec.h"
 #include "src/workloads/synth.h"
 
@@ -25,13 +27,15 @@ std::set<uint64_t> ReportedSiteAddrs(const RunOutcome& out,
   return addrs;
 }
 
-int Main() {
+}  // namespace
+
+int RunFalsePositives(const BenchArgs& args) {
   std::printf("\nFalse positives under full-on (Redzone)+(LowFat) checking, per benchmark\n\n");
   std::printf("%-12s %10s %10s %12s %16s\n", "Binary", "FP sites", "(paper)", "real errors",
               "FPs w/ allowlist");
   unsigned total_fp = 0;
   unsigned total_fp_allow = 0;
-  PassTimeAggregator pass_times;
+  std::string rows;
   for (const SpecBenchmark& bench : SpecSuite()) {
     const BinaryImage img = BuildSpecBenchmark(bench);
     RunConfig ref;
@@ -40,7 +44,6 @@ int Main() {
 
     // Full-on: no allow-list.
     const InstrumentResult full = MustInstrument(img, RedFatOptions{});
-    pass_times.Add(full.pipeline_stats);
     const RunOutcome full_run = RunImage(full.image, RuntimeKind::kRedFat, ref);
     const std::set<uint64_t> full_sites = ReportedSiteAddrs(full_run, full.sites);
 
@@ -75,17 +78,20 @@ int Main() {
     if (fp != 0 || bench.paper_fp_sites != 0 || !real_sites.empty()) {
       std::printf("%-12s %10u %10u %12zu %16u\n", bench.name.c_str(), fp,
                   bench.paper_fp_sites, real_sites.size(), fp_allow);
+      rows += StrFormat("%s{\"name\":%s,\"fp_sites\":%u,\"paper_fp_sites\":%u,"
+                        "\"real_error_sites\":%zu,\"fp_sites_allowlist\":%u}",
+                        rows.empty() ? "" : ",", JsonStr(bench.name).c_str(), fp,
+                        bench.paper_fp_sites, real_sites.size(), fp_allow);
     }
   }
-  pass_times.Print(
-      "Instrumentation time by pipeline pass (full-on config, --stats JSON)");
   std::printf("\nTotal FP sites: %u (paper: 85 across 9 benchmarks); with allow-list: %u "
               "(paper: 0)\n",
               total_fp, total_fp_allow);
-  return total_fp_allow == 0 ? 0 : 1;
+  const int written = WriteJsonRecord(
+      args, "false_positives",
+      StrFormat("\"rows\":[%s],\"total_fp_sites\":%u,\"total_fp_sites_allowlist\":%u",
+                rows.c_str(), total_fp, total_fp_allow));
+  return total_fp_allow == 0 ? written : 1;
 }
 
-}  // namespace
 }  // namespace redfat
-
-int main() { return redfat::Main(); }

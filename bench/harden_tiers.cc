@@ -11,12 +11,10 @@
 //
 // Asserts, per tier, that the measured slowdown over the baseline run stays
 // within TierOverheadBudgetPct (the ceilings CI enforces), and that the
-// tiers order by checking strength. Writes BENCH_harden_tiers.json.
-//
-// Usage:
-//   bench_harden_tiers [--quick] [--out FILE]
+// tiers order by checking strength.
 #include <cstdio>
-#include <cstring>
+#include <string>
+#include <vector>
 
 #include "bench/common.h"
 #include "src/core/policy.h"
@@ -36,20 +34,10 @@ struct TierMeasure {
   uint64_t observer_checks = 0;
 };
 
-int Main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_harden_tiers.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_harden_tiers [--quick] [--out FILE]\n");
-      return 2;
-    }
-  }
-  const uint64_t iterations = quick ? 200 : 1500;
+}  // namespace
+
+int RunHardenTiers(const BenchArgs& args) {
+  const uint64_t iterations = args.quick ? 200 : 1500;
 
   // A workload where the tiers genuinely differ: anti-idiom sites fail
   // profiling, fall off the allow-list, and demote to (Redzone)-only checks
@@ -124,10 +112,9 @@ int Main(int argc, char** argv) {
   REDFAT_CHECK(rows[2].cycles < rows[3].cycles);     // debug pays for the DBI pass
   REDFAT_CHECK(rows[3].observer_checks > 0);         // the observer actually ran
 
-  std::string json = "{\"bench\":\"harden_tiers\",";
-  json += StrFormat("\"iterations\":%llu,\"quick\":%s,",
-                    static_cast<unsigned long long>(iterations),
-                    quick ? "true" : "false");
+  std::string json = StrFormat("\"iterations\":%llu,\"quick\":%s,",
+                               static_cast<unsigned long long>(iterations),
+                               args.quick ? "true" : "false");
   json += StrFormat("\"baseline_cycles\":%llu,\"tiers\":[",
                     static_cast<unsigned long long>(base.result.cycles));
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -141,20 +128,8 @@ int Main(int argc, char** argv) {
         TierOverheadBudgetPct(m.tier),
         static_cast<unsigned long long>(m.observer_checks));
   }
-  json += "]}\n";
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_harden_tiers: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+  json += "]";
+  return WriteJsonRecord(args, "harden_tiers", json);
 }
 
-}  // namespace
 }  // namespace redfat
-
-int main(int argc, char** argv) { return redfat::Main(argc, argv); }

@@ -17,12 +17,9 @@
 // (the paper's "essentially free" allocator claim, feature by feature).
 // Also asserts the overhaul's headline win: the churn base cell's modeled
 // malloc/free cycles undercut the pre-overhaul flat cost model by >= 20%.
-// Writes BENCH_heap_throughput.json.
-//
-// Usage:
-//   bench_heap_throughput [--quick] [--out FILE]
 #include <cstdio>
-#include <cstring>
+#include <string>
+#include <vector>
 
 #include "bench/common.h"
 #include "src/heap/cost_model.h"
@@ -142,19 +139,10 @@ WorkloadMeasure MeasureWorkload(const char* name, const BinaryImage& img,
   return wm;
 }
 
-int Main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_heap_throughput.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_heap_throughput [--quick] [--out FILE]\n");
-      return 2;
-    }
-  }
+}  // namespace
+
+int RunHeapThroughput(const BenchArgs& args) {
+  const bool quick = args.quick;
 
   ServerParams sp;
   sp.seed = 0x5e7;
@@ -194,8 +182,7 @@ int Main(int argc, char** argv) {
     REDFAT_CHECK(wm.reduction_pct >= kMinReductionPct);
   }
 
-  std::string json = StrFormat("{\"bench\":\"heap_throughput\",\"quick\":%s,"
-                               "\"feature_budget_pct\":%.1f,\"workloads\":[",
+  std::string json = StrFormat("\"quick\":%s,\"feature_budget_pct\":%.1f,\"workloads\":[",
                                quick ? "true" : "false", kFeatureBudgetPct);
   for (size_t w = 0; w < workloads.size(); ++w) {
     const WorkloadMeasure& wm = workloads[w];
@@ -217,20 +204,8 @@ int Main(int argc, char** argv) {
     }
     json += "]}";
   }
-  json += "]}\n";
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_heap_throughput: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+  json += "]";
+  return WriteJsonRecord(args, "heap_throughput", json);
 }
 
-}  // namespace
 }  // namespace redfat
-
-int main(int argc, char** argv) { return redfat::Main(argc, argv); }

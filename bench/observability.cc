@@ -6,16 +6,12 @@
 // sampling profiler, forensic ring, everything). Guest cycles, instruction
 // counts and outputs are asserted bit-identical across all sinks on every
 // image (the zero-guest-cost contract); the host wall-clock overhead of each
-// sink is measured against a generous per-sink budget ceiling and written to
-// BENCH_observability.json, alongside a microbenchmark pricing a single
-// HistogramCell::Record. Budget misses are reported in the JSON
+// sink is measured against a generous per-sink budget ceiling and recorded
+// alongside a microbenchmark pricing a single HistogramCell::Record. Budget
+// misses are reported in the JSON
 // (within_budget=false), not asserted: CI runners are noisy, and the byte
 // identity of guest results is the contract worth failing a build over.
-//
-//   bench_observability [--quick] [--out FILE]
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -30,12 +26,6 @@
 
 namespace redfat {
 namespace {
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Generous host-overhead ceilings (ratio vs the sink-off run of the same
 // image). Telemetry histograms and the forensic ring touch only host-call
@@ -58,31 +48,22 @@ struct Cell {
   bool within_budget = true;
 };
 
-ResolvedPolicy Tier(HardenTier tier) {
+ResolvedPolicy TierPolicy(HardenTier tier) {
   HardeningPolicy p;
   p.tier = tier;
   return p.Resolve().value();
 }
 
-int Main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_observability.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_observability [--quick] [--out FILE]\n");
-      return 2;
-    }
-  }
+}  // namespace
+
+int RunObservability(const BenchArgs& args) {
+  const bool quick = args.quick;
 
   const KrakenBenchmark& bench = KrakenSuite().front();
   const BinaryImage baseline = BuildKrakenBenchmark(bench);
   const InstrumentResult extensive =
-      MustInstrument(baseline, Tier(HardenTier::kExtensive).rewrite);
-  const InstrumentResult fast = MustInstrument(baseline, Tier(HardenTier::kFast).rewrite);
+      MustInstrument(baseline, TierPolicy(HardenTier::kExtensive).rewrite);
+  const InstrumentResult fast = MustInstrument(baseline, TierPolicy(HardenTier::kFast).rewrite);
   const uint64_t iters = quick ? 300 : 2000;
   const int reps = quick ? 2 : 3;
 
@@ -197,8 +178,7 @@ int Main(int argc, char** argv) {
     std::printf("WARNING: some sinks exceeded their host-overhead budget\n");
   }
 
-  std::string json = "{\"bench\":\"observability\",";
-  json += StrFormat("\"kernel\":\"%s\",", bench.name.c_str());
+  std::string json = StrFormat("\"kernel\":%s,", JsonStr(bench.name).c_str());
   json += StrFormat("\"iters\":%llu,", static_cast<unsigned long long>(iters));
   json += StrFormat("\"reps\":%d,\"quick\":%s,", reps, quick ? "true" : "false");
   json += StrFormat("\"sample_period\":%llu,",
@@ -218,19 +198,8 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(c.samples), c.wall_ms, c.overhead, c.budget,
         c.within_budget ? "true" : "false");
   }
-  json += "]}\n";
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_observability: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  json += "]";
+  return WriteJsonRecord(args, "observability", json);
 }
 
-}  // namespace
 }  // namespace redfat
-
-int main(int argc, char** argv) { return redfat::Main(argc, argv); }

@@ -4,23 +4,18 @@
 // Synthesizes a deterministic large image (ProgramBuilder via the synth
 // workload generator; filler functions scale the text section the way the
 // paper's Chrome experiment scales real binaries), instruments it at
-// jobs ∈ {1, 2, 4, 8, auto}, and writes BENCH_rewrite_throughput.json:
-// image size, hardware threads, and per-run total wall time, instructions
-// per second, speedup vs jobs=1, and the per-pass wall-ms breakdown.
+// jobs ∈ {1, 2, 4, 8, auto}, and records image size, hardware threads, and
+// per-run total wall time, instructions per second, speedup vs jobs=1, and
+// the per-pass wall-ms breakdown.
 //
 // Every parallel run's output is also compared byte-for-byte against the
 // jobs=1 image — the determinism contract the test suite asserts, re-checked
 // here on the bench workload.
-//
-//   bench_rewrite_throughput [--quick] [--out FILE]
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
-#include "src/support/json.h"
 #include "src/support/parallel.h"
 #include "src/support/str.h"
 #include "src/workloads/synth.h"
@@ -38,25 +33,10 @@ struct RunRecord {
   PipelineStats stats;  // of the best rep
 };
 
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+}  // namespace
 
-int Main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_rewrite_throughput.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_rewrite_throughput [--quick] [--out FILE]\n");
-      return 2;
-    }
-  }
+int RunRewriteThroughput(const BenchArgs& args) {
+  const bool quick = args.quick;
 
   // A big, branchy, check-heavy image. Filler functions are never executed
   // but are fully instrumented: they scale rewrite work without making the
@@ -129,8 +109,7 @@ int Main(int argc, char** argv) {
 
   // Machine-readable output. Honest numbers only: speedup on a 1-thread
   // container is ~1.0x by construction; consumers must read hw_threads.
-  std::string json = "{\"bench\":\"rewrite_throughput\",";
-  json += StrFormat("\"hw_threads\":%u,", hw);
+  std::string json = StrFormat("\"hw_threads\":%u,", hw);
   json += StrFormat("\"image_bytes\":%llu,",
                     static_cast<unsigned long long>(img.TotalBytes()));
   json += StrFormat("\"image_insns\":%llu,", static_cast<unsigned long long>(image_insns));
@@ -151,25 +130,12 @@ int Main(int argc, char** argv) {
       if (pi != 0) {
         json += ",";
       }
-      json += StrFormat("\"%s\":%.3f", JsonEscape(pass.name).c_str(), pass.wall_ms);
+      json += StrFormat("%s:%.3f", JsonStr(pass.name).c_str(), pass.wall_ms);
     }
     json += "}}";
   }
-  json += "]}\n";
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_rewrite_throughput: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("\nwrote %s (%llu instructions, %u hw threads)\n", out_path.c_str(),
-              static_cast<unsigned long long>(image_insns), hw);
-  return 0;
+  json += "]";
+  return WriteJsonRecord(args, "rewrite_throughput", json);
 }
 
-}  // namespace
 }  // namespace redfat
-
-int main(int argc, char** argv) { return redfat::Main(argc, argv); }

@@ -16,6 +16,7 @@
 
 #include "bench/common.h"
 #include "src/dbi/memcheck.h"
+#include "src/support/str.h"
 #include "src/workloads/spec.h"
 #include "src/workloads/synth.h"
 
@@ -30,13 +31,24 @@ struct Row {
   double memcheck = 0;
 };
 
-int Main() {
+// The six RedFat columns as JSON fields, in table order.
+std::string SlowdownJson(const double (&slow)[6]) {
+  static const char* const kColumns[6] = {"unopt", "elim", "batch", "merge", "nosize", "noreads"};
+  std::string json;
+  for (int c = 0; c < 6; ++c) {
+    json += StrFormat("%s\"%s\":%.4f", c == 0 ? "" : ",", kColumns[c], slow[c]);
+  }
+  return json;
+}
+
+}  // namespace
+
+int RunTable1(const BenchArgs& args) {
   const RedFatOptions configs[6] = {RedFatOptions::Unoptimized(), RedFatOptions::Elim(),
                                     RedFatOptions::Batch(),       RedFatOptions::Merge(),
                                     RedFatOptions::NoSize(),      RedFatOptions::NoReads()};
 
   std::vector<Row> rows;
-  PassTimeAggregator pass_times;
   for (const SpecBenchmark& bench : SpecSuite()) {
     const BinaryImage img = BuildSpecBenchmark(bench);
     Row row;
@@ -53,7 +65,6 @@ int Main() {
 
     for (int c = 0; c < 6; ++c) {
       const InstrumentResult ir = MustInstrument(img, configs[c], &allow);
-      pass_times.Add(ir.pipeline_stats);
       const RunOutcome out = RunImage(ir.image, RuntimeKind::kRedFat, ref);
       REDFAT_CHECK(out.result.reason == HaltReason::kExit);
       REDFAT_CHECK(out.outputs == base.outputs);
@@ -80,6 +91,7 @@ int Main() {
               "Memcheck");
   std::vector<double> g[7];
   std::vector<double> gcov;
+  std::string json_rows;
   for (const Row& r : rows) {
     std::printf("%-12s %8.1f%% %10llu %7.2fx %7.2fx %7.2fx %7.2fx %7.2fx %7.2fx %8.2fx\n",
                 r.name.c_str(), 100.0 * r.coverage,
@@ -90,6 +102,12 @@ int Main() {
     }
     g[6].push_back(r.memcheck);
     gcov.push_back(r.coverage);
+    json_rows += StrFormat(
+        "%s{\"name\":%s,\"coverage\":%.4f,\"baseline_cycles\":%llu,\"memcheck\":%.4f,"
+        "\"slowdown\":{%s}}",
+        json_rows.empty() ? "" : ",", JsonStr(r.name).c_str(), r.coverage,
+        static_cast<unsigned long long>(r.baseline_cycles), r.memcheck,
+        SlowdownJson(r.slow).c_str());
   }
   double cov_mean = 0;
   for (double c : gcov) {
@@ -99,14 +117,18 @@ int Main() {
   std::printf("%-12s %8.1f%% %10s %7.2fx %7.2fx %7.2fx %7.2fx %7.2fx %7.2fx %8.2fx\n",
               "Geomean", 100.0 * cov_mean, "-", Geomean(g[0]), Geomean(g[1]), Geomean(g[2]),
               Geomean(g[3]), Geomean(g[4]), Geomean(g[5]), Geomean(g[6]));
-  pass_times.Print(
-      "Instrumentation time by pipeline pass (all configs, --stats JSON)");
   std::printf("\nPaper (real SPEC): geomean 6.78x / 5.50x / 5.06x / 4.18x / 3.81x / 1.55x;"
               " Memcheck 11.76x; mean coverage 72.6%%\n");
-  return 0;
+
+  double geo[6];
+  for (int c = 0; c < 6; ++c) {
+    geo[c] = Geomean(g[c]);
+  }
+  return WriteJsonRecord(
+      args, "table1",
+      StrFormat("\"rows\":[%s],\"geomean\":{\"coverage_mean\":%.4f,\"memcheck\":%.4f,"
+                "\"slowdown\":{%s}}",
+                json_rows.c_str(), cov_mean, Geomean(g[6]), SlowdownJson(geo).c_str()));
 }
 
-}  // namespace
 }  // namespace redfat
-
-int main() { return redfat::Main(); }

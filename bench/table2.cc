@@ -7,10 +7,12 @@
 // and the benign input must pass cleanly under the hardened binary (no
 // false positives).
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "src/dbi/memcheck.h"
+#include "src/support/str.h"
 #include "src/workloads/cve.h"
 
 namespace redfat {
@@ -23,12 +25,11 @@ struct Tally {
   unsigned total = 0;
 };
 
-Tally RunCases(const std::vector<VulnCase>& cases, PassTimeAggregator& pass_times) {
+Tally RunCases(const std::vector<VulnCase>& cases) {
   Tally t;
   for (const VulnCase& c : cases) {
     ++t.total;
     const InstrumentResult ir = MustInstrument(c.image, RedFatOptions{});
-    pass_times.Add(ir.pipeline_stats);
 
     RunConfig attack;
     attack.inputs = c.attack_inputs;
@@ -56,29 +57,36 @@ Tally RunCases(const std::vector<VulnCase>& cases, PassTimeAggregator& pass_time
   return t;
 }
 
-int Main() {
+std::string TallyJson(const std::string& name, const Tally& t) {
+  return StrFormat("{\"name\":%s,\"total\":%u,\"memcheck_detected\":%u,"
+                   "\"redfat_detected\":%u,\"benign_clean\":%u}",
+                   JsonStr(name).c_str(), t.total, t.memcheck_detected, t.redfat_detected,
+                   t.benign_clean);
+}
+
+}  // namespace
+
+int RunTable2(const BenchArgs& args) {
   std::printf("\nTable 2: CVEs/CWEs for non-incremental bounds errors\n\n");
   std::printf("%-34s %14s %14s %14s\n", "Entry", "Memcheck", "RedFat", "benign-clean");
-  PassTimeAggregator pass_times;
+  std::string entries;
   for (const VulnCase& c : CveCases()) {
-    const Tally t = RunCases({c}, pass_times);
+    const Tally t = RunCases({c});
     std::printf("%-34s %8u/%u (%3.0f%%) %8u/%u (%3.0f%%) %11u/%u\n", c.name.c_str(),
                 t.memcheck_detected, t.total, 100.0 * t.memcheck_detected / t.total,
                 t.redfat_detected, t.total, 100.0 * t.redfat_detected / t.total,
                 t.benign_clean, t.total);
+    entries += TallyJson(c.name, t) + ",";
   }
-  const Tally j = RunCases(JulietCwe122Cases(), pass_times);
-  std::printf("%-34s %7u/%u (%3.0f%%) %7u/%u (%3.0f%%) %9u/%u\n", "CWE-122-Heap-Buffer (Juliet)",
+  const Tally j = RunCases(JulietCwe122Cases());
+  const char* const juliet = "CWE-122-Heap-Buffer (Juliet)";
+  std::printf("%-34s %7u/%u (%3.0f%%) %7u/%u (%3.0f%%) %9u/%u\n", juliet,
               j.memcheck_detected, j.total, 100.0 * j.memcheck_detected / j.total,
               j.redfat_detected, j.total, 100.0 * j.redfat_detected / j.total, j.benign_clean,
               j.total);
-  pass_times.Print(
-      "Instrumentation time by pipeline pass (all cases, --stats JSON)");
   std::printf("\nPaper: Memcheck 0%% everywhere; RedFat 100%% everywhere (4 CVEs + 480 Juliet).\n");
-  return 0;
+  entries += TallyJson(juliet, j);
+  return WriteJsonRecord(args, "table2", "\"entries\":[" + entries + "]");
 }
 
-}  // namespace
 }  // namespace redfat
-
-int main() { return redfat::Main(); }

@@ -2,8 +2,7 @@
 // the fast engine vs the reference stepper.
 //
 // Runs one Kraken kernel — baseline and RedFat-instrumented — under both
-// engines, with and without telemetry attached, best-of-reps, and writes
-// BENCH_vm_dispatch.json:
+// engines, with and without telemetry attached, best-of-reps:
 //
 //   step    — reference per-instruction interpreter
 //   chained — the fast engine: specialized handlers + direct superblock
@@ -13,9 +12,6 @@
 // cell (the bit-identity contract the differential test proves exhaustively,
 // re-checked on the bench workload); only the host time may differ. CI gates
 // on speedup_instrumented ≥ 3x (chained vs step, telemetry off).
-//
-//   bench_vm_dispatch [--quick] [--out FILE]
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -30,12 +26,6 @@
 
 namespace redfat {
 namespace {
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct Mode {
   const char* name;
@@ -56,19 +46,10 @@ struct Cell {
   double mips = 0.0;     // guest instructions / host second, in millions
 };
 
-int Main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_vm_dispatch.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_vm_dispatch [--quick] [--out FILE]\n");
-      return 2;
-    }
-  }
+}  // namespace
+
+int RunVmDispatch(const BenchArgs& args) {
+  const bool quick = args.quick;
 
   const KrakenBenchmark& bench = KrakenSuite().front();
   const BinaryImage baseline = BuildKrakenBenchmark(bench);
@@ -122,7 +103,8 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(out.result.instructions),
               static_cast<unsigned long long>(out.outputs.empty() ? 0 : out.outputs[0]));
           if (with_telemetry) {
-            fingerprint += "|" + telemetry.Snapshot().ToJson();
+            fingerprint += "|";
+            fingerprint += telemetry.Snapshot().ToJson();
           }
           if (rep == 0 || wall < cell.wall_ms) {
             cell.wall_ms = wall;
@@ -167,9 +149,8 @@ int Main(int argc, char** argv) {
               "baseline chained %.2fx\n",
               speedup_instrumented, speedup_instrumented_telemetry, speedup_baseline);
 
-  std::string json = "{\"bench\":\"vm_dispatch\",";
-  json += StrFormat("\"hw_threads\":%u,", HardwareJobs());
-  json += StrFormat("\"kernel\":\"%s\",", bench.name.c_str());
+  std::string json = StrFormat("\"hw_threads\":%u,", HardwareJobs());
+  json += StrFormat("\"kernel\":%s,", JsonStr(bench.name).c_str());
   json += StrFormat("\"iters\":%llu,", static_cast<unsigned long long>(iters));
   json += StrFormat("\"reps\":%d,\"quick\":%s,", reps, quick ? "true" : "false");
   json += StrFormat("\"speedup_baseline\":%.3f,", speedup_baseline);
@@ -187,20 +168,8 @@ int Main(int argc, char** argv) {
         c.image, c.mode, c.telemetry ? "true" : "false",
         static_cast<unsigned long long>(c.instructions), c.wall_ms, c.mips);
   }
-  json += "]}\n";
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_vm_dispatch: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  json += "]";
+  return WriteJsonRecord(args, "vm_dispatch", json);
 }
 
-}  // namespace
 }  // namespace redfat
-
-int main(int argc, char** argv) { return redfat::Main(argc, argv); }

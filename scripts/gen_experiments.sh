@@ -6,12 +6,14 @@ BUILD="${1:-build}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-"$BUILD"/bench/bench_table1_spec        2>/dev/null > "$TMP/t1.txt"
-"$BUILD"/bench/bench_table2_cves        2>/dev/null > "$TMP/t2.txt"
-"$BUILD"/bench/bench_false_positives    2>/dev/null > "$TMP/fp.txt"
-"$BUILD"/bench/bench_detected_errors    2>/dev/null > "$TMP/de.txt"
-"$BUILD"/bench/bench_figure8_kraken     2>/dev/null > "$TMP/f8.txt"
-"$BUILD"/bench/bench_ablation_checks    2>/dev/null > "$TMP/ab.txt"
+RFBENCH="$BUILD"/bench/rfbench
+"$RFBENCH" table1             2>/dev/null > "$TMP/t1.txt"
+"$RFBENCH" table2             2>/dev/null > "$TMP/t2.txt"
+"$RFBENCH" false-positives    2>/dev/null > "$TMP/fp.txt"
+"$RFBENCH" detected-errors    2>/dev/null > "$TMP/de.txt"
+"$RFBENCH" figure8            2>/dev/null > "$TMP/f8.txt"
+"$RFBENCH" ablation-checks    2>/dev/null > "$TMP/ab.txt"
+"$RFBENCH" ablation-allocator 2>/dev/null > "$TMP/aa.txt"
 
 GEO=$(grep '^Geomean' "$TMP/t1.txt")
 cov=$(echo "$GEO" | awk '{print $2}')
@@ -23,6 +25,7 @@ nosize=$(echo "$GEO" | awk '{print $8}')
 noreads=$(echo "$GEO" | awk '{print $9}')
 mc=$(echo "$GEO" | awk '{print $10}')
 KGEO=$(grep '^Geomean' "$TMP/f8.txt" | awk '{print $4}')
+ALLOC=$(grep '^modeled guest cycles' "$TMP/aa.txt")
 
 {
 cat <<HEADER
@@ -31,10 +34,10 @@ cat <<HEADER
 (Generated by scripts/gen_experiments.sh; re-run after any calibration change.)
 
 Every table and figure from the paper's evaluation (§7), reproduced by a
-dedicated harness in \`bench/\`. Absolute numbers cannot match the paper (our
-substrate is a deterministic cycle-counting VM, not an Intel Xeon running
-real SPEC binaries); the *shape* criteria from DESIGN.md §3 are what must
-hold, and all of them do:
+dedicated \`rfbench\` subcommand (\`bench/\`). Absolute numbers cannot match
+the paper (our substrate is a deterministic cycle-counting VM, not an Intel
+Xeon running real SPEC binaries); the *shape* criteria from DESIGN.md §3 are
+what must hold, and all of them do:
 
 * optimization ordering: unoptimized > +elim > +batch > +merge > -size > -reads, strictly;
 * -reads is cheap enough for practical hardening (paper 1.55x, measured $noreads);
@@ -50,13 +53,13 @@ hold, and all of them do:
 Regenerate everything with:
 
 \`\`\`sh
-cmake -B build -G Ninja && cmake --build build
-for b in build/bench/*; do \$b; done        # or scripts/gen_experiments.sh
+cmake -B build -S . && cmake --build build -j
+scripts/gen_experiments.sh                  # or: build/bench/rfbench <experiment>
 \`\`\`
 
 ---
 
-## Table 1 — SPEC CPU2006 slowdowns and coverage (\`bench_table1_spec\`)
+## Table 1 — SPEC CPU2006 slowdowns and coverage (\`rfbench table1\`)
 
 Geometric means, paper → measured:
 
@@ -87,7 +90,7 @@ sed -n '/^Binary/,/^Geomean/p' "$TMP/t1.txt"
 cat <<'MID1'
 ```
 
-## Table 2 — non-incremental overflows (`bench_table2_cves`)
+## Table 2 — non-incremental overflows (`rfbench table2`)
 
 Paper: Memcheck 0% on all 4 CVEs and 0/480 Juliet; RedFat 100% everywhere.
 Measured: **identical** —
@@ -101,7 +104,7 @@ cat <<'MID2'
 (The `benign-clean` column is our addition: every hardened binary also runs
 its benign input to completion with zero reports.)
 
-## §7.1 False positives (`bench_false_positives`)
+## §7.1 False positives (`rfbench false-positives`)
 
 Paper: 85 FP sites across 9 benchmarks (perlbench 1, gcc 14, gobmk 1,
 povray 1, bwaves 5, gromacs 3, GemsFDTD 32, wrf 26, calculix 2) under
@@ -115,7 +118,7 @@ sed -n '/^Binary/,/^Total/p' "$TMP/fp.txt"
 cat <<'MID3'
 ```
 
-## §7.1 Detected errors (`bench_detected_errors`)
+## §7.1 Detected errors (`rfbench detected-errors`)
 
 Paper: 4 `array[-1]` read underflows in calculix, 1 read overflow in wrf;
 detected by both tools. Measured:
@@ -126,7 +129,7 @@ sed -n '/^Binary/,/^wrf/p' "$TMP/de.txt"
 cat <<'MID4'
 ```
 
-## Figure 8 — Chrome/Kraken (`bench_figure8_kraken`)
+## Figure 8 — Chrome/Kraken (`rfbench figure8`)
 
 Paper: 1.28x geomean with write-only checking; per-test bars range
 ~100-300%; Chrome (~149 MB) instruments successfully and runs stable.
@@ -142,15 +145,15 @@ sed -n '/^Benchmark/,/^Geomean/p' "$TMP/f8.txt"
 cat <<'MID5'
 ```
 
-## Ablations (ours; `bench_ablation_checks`, `bench_ablation_allocator`)
+## Ablations (ours; `rfbench ablation-checks`, `rfbench ablation-allocator`)
 
 Design choices the paper calls out, quantified on a fixed workload:
 
 ```
 MID5
 sed -n '/^Variant/,/no merged-UB/p' "$TMP/ab.txt"
-cat <<'TAIL'
-```
+cat <<TAIL
+\`\`\`
 
 * clobber analysis (dead registers/flags instead of save/restore) is the
   biggest low-level win on this workload;
@@ -159,17 +162,18 @@ cat <<'TAIL'
   documented as a cost-model artifact (the paper found it "worthwhile" on
   real hardware where branches are expensive);
 * size-metadata hardening costs a little speed and buys tamper-resistance
-  (`tests/core_test.cc` MetadataHardeningCatchesCorruptedSize shows the
+  (\`tests/core_test.cc\` MetadataHardeningCatchesCorruptedSize shows the
   attack it stops);
-* the allocator bench confirms the low-fat allocator's malloc/free cost is
-  within a few percent of the glibc-like baseline (paper: ~1%).
+* the allocator ablation confirms the low-fat allocator's malloc is no
+  dearer than the glibc-like baseline (paper: ~1%):
+  $ALLOC.
 
 ## Modeled (non-emergent) constants
 
 Everything in the RedFat columns is emergent from executed instructions
-under one fixed cost table (`CycleModel`: ALU 1, memory 3, mul 3, branch 1,
+under one fixed cost table (\`CycleModel\`: ALU 1, memory 3, mul 3, branch 1,
 call/push 2, hostcall 30). The Memcheck baseline additionally models DBI
-costs (`MemcheckCostModel`: dispatch 10/instruction, +55/control transfer,
+costs (\`MemcheckCostModel\`: dispatch 10/instruction, +55/control transfer,
 +14/shadow check, +150/alloc) — tuned once against the paper's 11.76x
 geomean, then frozen; its 0-detection result on Table 2 is emergent.
 
@@ -177,7 +181,7 @@ geomean, then frozen; its 0-detection result on Table 2 is emergent.
 
 The SPEC/Kraken programs are generated (src/workloads/synth.cc) with
 per-benchmark behaviour dials (src/workloads/spec.cc documents each).
-The paper-reported FP site counts are *inputs* (how many `(array-K)` sites
+The paper-reported FP site counts are *inputs* (how many \`(array-K)\` sites
 each program contains — a property of the original source code); whether
 they fire, how much coverage they cost, and whether the allow-list removes
 them is all measured behaviour of the system under test. The dynamic range

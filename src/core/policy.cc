@@ -229,7 +229,7 @@ RheapOptions RheapForTier(HardenTier tier) {
 double TierOverheadBudgetPct(HardenTier tier) {
   // Ceilings over the simulated cycle model, which prices trampoline
   // dispatch far above real hardware (the paper's wall-clock regime is
-  // ~1.25-1.6x; bench_harden_tiers measures ~2.3x/~2.9x/~17x here). The
+  // ~1.25-1.6x; rfbench harden-tiers measures ~2.3x/~2.9x/~17x here). The
   // value is the regression tripwire CI asserts, not a target.
   switch (tier) {
     case HardenTier::kNone:

@@ -120,7 +120,7 @@ RuntimeKind RuntimeForTier(HardenTier tier);
 RheapOptions RheapForTier(HardenTier tier);
 
 // Per-tier overhead budget (percent over a baseline run) asserted by
-// bench_harden_tiers and the CI harden-tiers job. Generous ceilings, not
+// rfbench harden-tiers and the CI harden-tiers job. Generous ceilings, not
 // targets: measured slowdowns on the bench workload are far below them.
 double TierOverheadBudgetPct(HardenTier tier);
 

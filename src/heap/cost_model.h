@@ -18,7 +18,7 @@
 //     store (kRedzoneMeta). A free is a freelist push (kFreePush) plus the
 //     metadata clear. The per-feature adders price each --rheap hardening
 //     feature separately; each one must stay under 5% of the hot
-//     malloc+free pair (CI-gated by bench_heap_throughput).
+//     malloc+free pair (CI-gated by rfbench heap-throughput).
 #ifndef REDFAT_SRC_HEAP_COST_MODEL_H_
 #define REDFAT_SRC_HEAP_COST_MODEL_H_
 

@@ -2,7 +2,7 @@
 // hardening; snmalloc docs/security/).
 //
 // Each feature is orthogonal to the redzone+lowfat checks and is priced
-// separately by bench_heap_throughput / bench_ablation_allocator:
+// separately by rfbench heap-throughput / rfbench ablation-allocator:
 //
 //   prot-freelist  obfuscate in-guest freelist links and validate them on
 //                  every pop; forged/corrupted links raise

@@ -78,6 +78,7 @@
 //   -v                     verbose plan/rewrite statistics
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -548,9 +549,22 @@ int Main(int argc, char** argv) {
     const size_t n = positional.size();
     std::vector<InputSpec> specs;
     specs.reserve(n);
-    std::vector<BinaryImage> inputs(n);
+    // Each image's output is named by its basename and its per-image
+    // artifacts by the basename's stem: refuse a clash before any write.
+    std::map<std::string, std::string> path_by_stem;
     for (size_t i = 0; i < n; ++i) {
       specs.push_back(ParseInputSpec(positional[i]));
+      const auto [it, fresh] =
+          path_by_stem.emplace(Stem(BaseName(specs[i].path)), specs[i].path);
+      if (!fresh) {
+        std::fprintf(stderr, "redfat: batch inputs %s and %s both name their outputs '%s' in %s\n",
+                     it->second.c_str(), specs[i].path.c_str(), it->first.c_str(),
+                     output_dir.c_str());
+        return 2;
+      }
+    }
+    std::vector<BinaryImage> inputs(n);
+    for (size_t i = 0; i < n; ++i) {
       Result<BinaryImage> img = LoadImageFile(specs[i].path);
       if (!img.ok()) {
         std::fprintf(stderr, "redfat: %s\n", img.error().c_str());

@@ -218,6 +218,9 @@ int Main(int argc, char** argv) {
       rheap_flag = opts.value();
     } else if (arg.rfind("--policy=", 0) == 0) {
       policy = arg.substr(9);
+      if (policy != "harden" && policy != "log") {
+        return Usage();
+      }
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg.rfind("--engine=", 0) == 0) {

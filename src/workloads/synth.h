@@ -133,7 +133,7 @@ BinaryImage GenerateUafProgram(const UafParams& params);
 // its header first) and allocates a fresh object of LCG-chosen size in its
 // place. Object lifetimes are exponential-ish and sizes span many size
 // classes, so the allocator's freelists see constant push/pop traffic: the
-// workload bench_heap_throughput uses to price the rheap fast path.
+// workload rfbench heap-throughput uses to price the rheap fast path.
 // inputs[0] = operations, inputs[1] = mode:
 //   mode 0  benign churn; exits cleanly after the final drain;
 //   mode 1  forged next pointer: frees the first object of an otherwise

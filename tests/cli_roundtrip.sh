@@ -138,12 +138,12 @@ for good in "--hot-threshold 0.5" "--hot-threshold=0.5" "--jobs 2" "--jobs=2"; d
 done
 for bad in "--limit 10x" "--limit=10x" "--seed abc" "--seed=abc" \
     "--metrics-epoch=x" "--metrics-epoch -1" "--sample-period=1.5" \
-    "--sample-period 0x" "--seed"; do
+    "--sample-period 0x" "--seed" "--policy=bogus" "--policy=" "--policy=Log"; do
   # shellcheck disable=SC2086
   expect_status 2 "$TOOLS/rfrun" $bad mcf.rfbin 5 0x3f
 done
 for good in "--limit 100000000" "--limit=100000000" "--seed 0x10" "--seed=7" \
-    "--sample-period 97" "--sample-period=97"; do
+    "--sample-period 97" "--sample-period=97" "--policy=log" "--policy=harden"; do
   # shellcheck disable=SC2086
   expect_status 0 "$TOOLS/rfrun" $good mcf.rfbin 5 0x3f
 done
@@ -195,6 +195,23 @@ done
 grep -q "^.redfat.tramp @ 0x20000000 " based_dis.txt \
     || fail "path:0xADDR did not place the trampoline section"
 expect_status 2 "$TOOLS/redfat" --profile --output-dir batch mcf.rfbin
+# Outputs and per-image artifacts are named by the input's basename stem, so
+# two inputs sharing one are refused, naming both, before anything is written.
+mkdir -p clash/a clash/b clash/out
+cp mcf.rfbin clash/a/x.rfbin
+cp kraken.rfbin clash/b/x.rfbin
+cp kraken.rfbin clash/b/x.bin
+for second in clash/b/x.rfbin clash/b/x.bin; do
+  set +e
+  "$TOOLS/redfat" --output-dir clash/out --stats st.json clash/a/x.rfbin "$second" \
+      2> clash.txt
+  got=$?
+  set -e
+  [ "$got" -eq 2 ] || fail "batch name clash with $second: exit $got (want 2)"
+  grep -q "clash/a/x.rfbin" clash.txt && grep -q "$second" clash.txt \
+      || fail "batch name clash error does not name both inputs"
+  [ -z "$(ls clash/out)" ] && [ ! -e st.x.json ] || fail "batch name clash wrote output"
+done
 
 # An invalid free (churn mode 2 frees an interior pointer) is a guest fault
 # under the glibc-like baseline (139) and a reported detection under

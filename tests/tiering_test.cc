@@ -199,7 +199,7 @@ TEST(AssignSiteTiers, MismatchedSitemapNeverMisTiers) {
 
 // --- end-to-end tiering -----------------------------------------------------
 
-// Same shape as bench_check_tiering: a hot loop striding a buffer through
+// Same shape as rfbench check-tiering: a hot loop striding a buffer through
 // pointer bumps, cold one-shot accesses, and an OOB read under kLog.
 BinaryImage HotLoopProgram() {
   ProgramBuilder pb;
